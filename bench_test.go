@@ -306,6 +306,51 @@ func BenchmarkMonitorOnline(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamStep isolates StreamChecker.Step: the strict rule set
+// stepped over the ten-minute trace aligned onto the evaluation grid,
+// with no frame decoding or latching. It reports ns/step.
+func BenchmarkStreamStep(b *testing.B) {
+	grid, err := trace.Align(benchTrace(b), sigdb.FastPeriod)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs, err := rules.Strict()
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := grid.Names()
+	vals := make([][]float64, grid.NumSteps())
+	upd := make([][]bool, grid.NumSteps())
+	for k := range vals {
+		vals[k] = make([]float64, len(names))
+		upd[k] = make([]bool, len(names))
+	}
+	for i, name := range names {
+		v, _ := grid.Values(name)
+		u, _ := grid.Updated(name)
+		for k := range vals {
+			vals[k][i], upd[k][i] = v[k], u[k]
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc, err := rs.NewStreamChecker(names, grid.Period, speclang.EvalOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := range vals {
+			if _, err := sc.Step(vals[k], upd[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := sc.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/step")
+}
+
 // BenchmarkMonitorAlign isolates the grid-alignment stage.
 func BenchmarkMonitorAlign(b *testing.B) {
 	tr := benchTrace(b)

@@ -584,18 +584,22 @@ func (it *Iterator) decode(env envelope) bool {
 	return false
 }
 
+// minFrameBytes is the smallest encoded frame: a one-byte time delta,
+// a one-byte ID and 8 data bytes.
+const minFrameBytes = 10
+
 // decodeFrames parses a delta-compressed frames payload into the
 // reusable scratch, keeping only in-window frames. Each frame is a
 // zigzag-varint timestamp delta, a varint ID, and 8 data bytes; the
-// smallest legal frame is 10 bytes, which bounds the declared count
-// against the payload length before the loop runs.
+// smallest legal frame is minFrameBytes, which bounds the declared
+// count against the payload length before the loop runs.
 func (it *Iterator) decodeFrames(p []byte) bool {
 	if len(p) < 4 {
 		it.err = errors.New("archive: frames payload shorter than its count")
 		return false
 	}
 	count := binary.LittleEndian.Uint32(p[:4])
-	if uint64(count)*10 > uint64(len(p)-4) {
+	if uint64(count)*minFrameBytes > uint64(len(p)-4) {
 		it.err = fmt.Errorf("archive: frames payload declares %d frames over %d bytes", count, len(p)-4)
 		return false
 	}

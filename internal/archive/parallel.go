@@ -28,6 +28,11 @@ type scanChunk struct {
 	err    error
 }
 
+// maxReservedFrames caps decodeSegment's up-front arena reservation at
+// a default-size segment's worth of frames; larger segments grow past
+// it on demand.
+const maxReservedFrames = defaultSegmentBytes / minFrameBytes
+
 // ParallelIterator walks a catalog's records in archive order — the
 // same order Catalog.Iter yields them — while decoding up to
 // ScanOptions.Workers segments concurrently and prefetching up to
@@ -145,6 +150,12 @@ func (c *Catalog) ParallelIter(q Query, opt ScanOptions) *ParallelIterator {
 func (p *ParallelIterator) decodeSegment(it *Iterator, seg segment) *scanChunk {
 	ch := p.pool.Get().(*scanChunk)
 	ch.recs, ch.frames, ch.err = ch.recs[:0], ch.frames[:0], nil
+	// Reserve the arena once: no segment holds more frames than its
+	// bytes allow, and the cap keeps a selective query over a huge
+	// segment from reserving far more than it will decode.
+	if need := min(seg.dataEnd/minFrameBytes, maxReservedFrames); int64(cap(ch.frames)) < need {
+		ch.frames = make([]can.Frame, 0, need)
+	}
 	it.reset(seg, p.q)
 	for it.Next() {
 		rec := *it.Record()

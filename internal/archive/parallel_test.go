@@ -251,3 +251,32 @@ func TestParallelIterDecodeErrorSurfaces(t *testing.T) {
 		t.Fatalf("parallel served %d records before the error, sequential %d", parRecs, seqRecs)
 	}
 }
+
+// TestDecodeSegmentReservesArenaOnce pins the frame arena reservation:
+// a segment's frames fit the arena reserved from its size, so decoding
+// never regrows it, and a huge segment reserves no more than the cap.
+func TestDecodeSegmentReservesArenaOnce(t *testing.T) {
+	dir := t.TempDir()
+	buildInterleavedArchive(t, dir, 16, 8)
+	cat, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatalf("OpenCatalog: %v", err)
+	}
+	p := &ParallelIterator{}
+	p.pool.New = func() any { return new(scanChunk) }
+	it := &Iterator{vehicles: make(map[string]string)}
+	for i, seg := range cat.segs {
+		ch := p.decodeSegment(it, seg)
+		if ch.err != nil {
+			t.Fatalf("segment %d: %v", i, ch.err)
+		}
+		if want := seg.dataEnd / minFrameBytes; int64(cap(ch.frames)) != want {
+			t.Errorf("segment %d: arena capacity %d, want the reservation %d", i, cap(ch.frames), want)
+		}
+	}
+	huge := cat.segs[0]
+	huge.dataEnd = 1 << 30
+	if ch := p.decodeSegment(it, huge); cap(ch.frames) != maxReservedFrames {
+		t.Errorf("1 GiB segment reserved %d frames, want the cap %d", cap(ch.frames), maxReservedFrames)
+	}
+}

@@ -434,6 +434,12 @@ awaiting:
 			t.Fatalf("awaiting verdict: unexpected %T", rec)
 		}
 	}
+	// Ack the verdict as fleet.Client does. Without the ack, a shutdown
+	// that starts before the server finishes delivering waits for one
+	// until its deadline.
+	if err := wire.Write(conn, wire.Ack{Seq: delivered.EventSeq}); err != nil {
+		t.Fatal(err)
+	}
 	conn.Close()
 	d.stop(t)
 
@@ -498,6 +504,9 @@ awaiting:
 		if vs, ok := rec.(wire.VerdictSeq); ok {
 			if !bytes.Equal(wire.Marshal(vs), wire.Marshal(delivered)) {
 				t.Error("re-served verdict differs from the original delivery")
+			}
+			if err := wire.Write(conn2, wire.Ack{Seq: vs.EventSeq}); err != nil {
+				t.Fatal(err)
 			}
 			break
 		}

@@ -792,12 +792,7 @@ func (s *Server) handleHello(conn net.Conn, br *bufio.Reader, hello wire.Hello) 
 		ack = wire.SessionGrant{Session: sess.id, Token: sess.token, Epoch: s.cfg.Epoch}
 	}
 	s.stats.sessionsOpened.Add(1)
-	if err := wire.Write(conn, ack); err != nil {
-		conn.Close()
-		s.discard(sess)
-		return
-	}
-	s.attach(sess, conn, br)
+	s.attach(sess, conn, br, ack)
 }
 
 func (s *Server) handleResume(conn net.Conn, br *bufio.Reader, res wire.Resume) {
@@ -825,15 +820,10 @@ func (s *Server) handleResume(conn net.Conn, br *bufio.Reader, res wire.Resume) 
 		s.deliverFinal(conn, br, sess, res.LastEventSeq)
 		return
 	}
-	if err := wire.Write(conn, wire.SessionGrant{
-		Session: sess.id, Token: sess.token, AckSeq: sess.lastApplied, Epoch: s.cfg.Epoch,
-	}); err != nil {
-		conn.Close()
-		s.repark(sess)
-		return
-	}
 	sess.resumeFrom = res.LastEventSeq
-	s.attach(sess, conn, br)
+	s.attach(sess, conn, br, wire.SessionGrant{
+		Session: sess.id, Token: sess.token, AckSeq: sess.lastApplied, Epoch: s.cfg.Epoch,
+	})
 }
 
 // deliverFinal re-serves a finalized session's event tail and verdict
@@ -879,9 +869,10 @@ func (s *Server) repark(sess *session) {
 	s.discard(sess)
 }
 
-// attach binds a connection to the session and runs it; afterwards the
-// session either parks for resume or resolves for good.
-func (s *Server) attach(sess *session, conn net.Conn, br *bufio.Reader) {
+// attach binds a connection to the session, sends the handshake reply
+// and runs the session; afterwards it either parks for resume or
+// resolves for good.
+func (s *Server) attach(sess *session, conn net.Conn, br *bufio.Reader, reply wire.Record) {
 	sess.conn = conn
 	sess.br = br
 	sess.bw = bufio.NewWriterSize(conn, 64<<10)
@@ -894,6 +885,13 @@ func (s *Server) attach(sess *session, conn net.Conn, br *bufio.Reader) {
 	sess.endMu.Unlock()
 
 	s.register(sess)
+	// The reply leaves only once the token is registered as attached: a
+	// client that loses this connection right after the grant and
+	// resumes at once must find its session attached (claim then waits
+	// for it to park), never in neither table.
+	if err := wire.Write(conn, reply); err != nil {
+		conn.Close() // run sees the dead connection and parks or resolves
+	}
 	park := sess.run()
 	s.unregister(sess, park)
 	if !park {

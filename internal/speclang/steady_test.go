@@ -1,0 +1,68 @@
+package speclang_test
+
+import (
+	"testing"
+
+	"cpsmon/internal/rules"
+	"cpsmon/internal/sigdb"
+	"cpsmon/internal/speclang"
+)
+
+// TestStreamStepZeroAllocs pins steady-state StreamChecker.Step at zero
+// allocations for the paper's strict and relaxed rule sets, with and
+// without a per-rule observer. The input cycles through a pattern that
+// opens and closes violations, so the event path is exercised too.
+func TestStreamStepZeroAllocs(t *testing.T) {
+	names := sigdb.Vehicle().SignalNames()
+	const period = 97 // steps per input cycle
+	vals := make([][]float64, period)
+	upd := make([][]bool, period)
+	for k := range vals {
+		vals[k] = make([]float64, len(names))
+		upd[k] = make([]bool, len(names))
+		for i := range names {
+			// Each signal sweeps a different phase through [-2, 2]; every
+			// third signal updates only every fifth step.
+			vals[k][i] = float64((k*(i+3))%9)/2 - 2
+			upd[k][i] = i%3 != 0 || k%5 == 0
+		}
+	}
+	for _, set := range []struct {
+		name string
+		load func() (*speclang.RuleSet, error)
+	}{{"strict", rules.Strict}, {"relaxed", rules.Relaxed}} {
+		for _, observe := range []bool{false, true} {
+			rs, err := set.load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := rs.NewStreamChecker(names, sigdb.FastPeriod, speclang.EvalOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spent int64
+			if observe {
+				sc.Observe(func(_ int, nanos int64) { spent += nanos })
+			}
+			events := 0
+			k := 0
+			step := func() {
+				evs, err := sc.Step(vals[k%period], upd[k%period])
+				if err != nil {
+					t.Fatal(err)
+				}
+				events += len(evs)
+				k++
+			}
+			for k < 20*period { // past every horizon and event-buffer high-water mark
+				step()
+			}
+			if events == 0 {
+				t.Fatalf("%s: warm-up produced no events; the pin would skip the event path", set.name)
+			}
+			if allocs := testing.AllocsPerRun(5*period, step); allocs != 0 {
+				t.Errorf("%s (observe=%v): steady-state Step allocates %.2f times per step, want 0", set.name, observe, allocs)
+			}
+		}
+	}
+}

@@ -322,6 +322,32 @@ func TestStreamMixedDelayBinaryEquivalence(t *testing.T) {
 
 // ---------- randomized equivalence ----------
 
+// randomSource builds an n-step trace of a multi-rate float x (updated
+// on ~40% of steps, occasionally NaN) and a boolean a updated every
+// step.
+func randomSource(rng *rand.Rand, n int) *memSource {
+	xv, xu := make([]float64, n), make([]bool, n)
+	cur := rng.Float64()
+	for i := 0; i < n; i++ {
+		if i == 0 || rng.Float64() < 0.4 {
+			cur = rng.Float64()*2 - 0.5
+			if rng.Float64() < 0.05 {
+				cur = math.NaN()
+			}
+			xu[i] = true
+		}
+		xv[i] = cur
+	}
+	av, au := make([]float64, n), make([]bool, n)
+	for i := 0; i < n; i++ {
+		if rng.Float64() < 0.6 {
+			av[i] = 1
+		}
+		au[i] = true
+	}
+	return newMemSource(10*time.Millisecond).addWithUpd("x", xv, xu).addWithUpd("a", av, au)
+}
+
 // TestStreamRandomizedEquivalence drives both evaluators over random
 // multi-rate traces with a grab-bag of rules covering every language
 // feature, requiring identical violations.
@@ -348,34 +374,7 @@ func TestStreamRandomizedEquivalence(t *testing.T) {
 	for _, mode := range []DeltaMode{DeltaNaive, DeltaUpdateAware} {
 		for seed := int64(0); seed < 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			n := 5 + rng.Intn(120)
-			src := newMemSource(10 * time.Millisecond)
-			// x: a multi-rate float with occasional NaN.
-			xv := make([]float64, n)
-			xu := make([]bool, n)
-			cur := rng.Float64()
-			for i := 0; i < n; i++ {
-				if i == 0 || rng.Float64() < 0.4 {
-					cur = rng.Float64()*2 - 0.5
-					if rng.Float64() < 0.05 {
-						cur = math.NaN()
-					}
-					xu[i] = true
-				}
-				xv[i] = cur
-			}
-			src.addWithUpd("x", xv, xu)
-			// a: a boolean updated every step.
-			av := make([]float64, n)
-			au := make([]bool, n)
-			for i := 0; i < n; i++ {
-				if rng.Float64() < 0.6 {
-					av[i] = 1
-				}
-				au[i] = true
-			}
-			src.addWithUpd("a", av, au)
-
+			src := randomSource(rng, 5+rng.Intn(120))
 			for _, ruleSrc := range ruleSrcs {
 				requireEquivalent(t, ruleSrc, src, EvalOptions{DeltaMode: mode}, "x", "a")
 			}

@@ -2,7 +2,6 @@ package speclang
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -18,9 +17,8 @@ type StreamChecker struct {
 	steps  int
 	done   bool
 
-	// ctx and evbuf are reused across Step calls so a steady-state step
-	// performs no allocation.
-	ctx   stepCtx
+	// evbuf is reused across Step calls so a steady-state step performs
+	// no allocation.
 	evbuf []Event
 
 	// observe, when set, receives the wall-clock nanoseconds each rule
@@ -82,20 +80,19 @@ func (sc *StreamChecker) Step(vals []float64, upd []bool) ([]Event, error) {
 	if len(vals) != len(sc.names) || len(upd) != len(sc.names) {
 		return nil, fmt.Errorf("speclang: step carries %d/%d entries, want %d", len(vals), len(upd), len(sc.names))
 	}
-	sc.ctx.vals, sc.ctx.upd = vals, upd
+	k := sc.steps
 	events := sc.evbuf[:0]
 	if sc.observe == nil {
 		for _, r := range sc.rules {
-			events = r.step(&sc.ctx, events)
+			events = r.step(vals, upd, k, events)
 		}
 	} else {
 		for i, r := range sc.rules {
 			t0 := time.Now()
-			events = r.step(&sc.ctx, events)
+			events = r.step(vals, upd, k, events)
 			sc.observe(i, time.Since(t0).Nanoseconds())
 		}
 	}
-	sc.ctx.vals, sc.ctx.upd = nil, nil
 	sc.evbuf = events
 	sc.steps++
 	return events, nil
@@ -114,234 +111,4 @@ func (sc *StreamChecker) Finish() ([]Event, error) {
 		events = r.finish(sc.steps, events)
 	}
 	return events, nil
-}
-
-func newRuleStream(r *Rule, signals map[string]int, period time.Duration, opts EvalOptions) (*ruleStream, error) {
-	rs := &ruleStream{rule: r, period: period}
-
-	var lets []Let
-	var warmups []Warmup
-	var severity Expr
-	if r.Kind == KindSpec {
-		lets, warmups, severity = r.spec.Lets, r.spec.Warmups, r.spec.Severity
-	} else {
-		lets, warmups, severity = r.monitor.Lets, r.monitor.Warmups, r.monitor.Severity
-	}
-	b := &streamBuilder{
-		signals: signals,
-		consts:  r.consts,
-		lets:    make(map[string]Expr, len(lets)),
-		mode:    opts.DeltaMode,
-		period:  period,
-	}
-	for _, l := range lets {
-		b.lets[l.Name] = l.X
-	}
-
-	if r.Kind == KindSpec {
-		for i, a := range r.spec.Asserts {
-			s, err := b.build(a)
-			if err != nil {
-				return nil, err
-			}
-			line, _ := a.Pos()
-			rs.asserts = append(rs.asserts, s)
-			rs.msgs = append(rs.msgs, fmt.Sprintf("assert #%d (line %d) failed", i+1, line))
-		}
-		rs.assertQs = make([]ring[float64], len(rs.asserts))
-	} else {
-		ms, err := newMachineStream(b, r.monitor, r.initial, period)
-		if err != nil {
-			return nil, err
-		}
-		rs.machine = ms
-	}
-
-	if severity != nil {
-		s, err := b.build(severity)
-		if err != nil {
-			return nil, err
-		}
-		rs.severity = s
-	}
-	for _, w := range warmups {
-		ws := &warmupStream{window: int(w.Window / period)}
-		if ws.window < 1 {
-			ws.window = 1
-		}
-		if w.On != nil {
-			s, err := b.build(w.On)
-			if err != nil {
-				return nil, err
-			}
-			ws.on = s
-		}
-		rs.warmups = append(rs.warmups, ws)
-	}
-	return rs, nil
-}
-
-// step pushes one input step through every constituent stream and
-// assembles as many rule-output steps as became decidable, appending
-// their events to events.
-func (rs *ruleStream) step(ctx *stepCtx, events []Event) []Event {
-	if rs.machine != nil {
-		if mark, ok := rs.machine.push(ctx); ok {
-			rs.markQ.push(mark)
-		}
-	} else {
-		for i, a := range rs.asserts {
-			if o, ok := a.step(ctx); ok {
-				rs.assertQs[i].push(o.val)
-			}
-		}
-		rs.assembleSpecMarks()
-	}
-	if rs.severity != nil {
-		if o, ok := rs.severity.step(ctx); ok {
-			rs.sevQ.push(o.val)
-		}
-	}
-	for _, w := range rs.warmups {
-		if w.on != nil {
-			if o, ok := w.on.step(ctx); ok {
-				w.onQ.push(o.val)
-			}
-		}
-	}
-	return rs.assemble(false, 0, events)
-}
-
-// assembleSpecMarks merges per-assert outputs into marks once every
-// assert has one.
-func (rs *ruleStream) assembleSpecMarks() {
-	for {
-		for i := range rs.assertQs {
-			if rs.assertQs[i].len() == 0 {
-				return
-			}
-		}
-		mark := ""
-		for i := range rs.assertQs {
-			v := rs.assertQs[i].pop()
-			if mark == "" && !truthy(v) {
-				mark = rs.msgs[i]
-			}
-		}
-		rs.markQ.push(mark)
-	}
-}
-
-// assemble consumes aligned (mark, severity, warmup) tuples and
-// maintains the open-violation state, appending decided events to
-// events. When finishing, endAt closes any open interval at that step.
-func (rs *ruleStream) assemble(finishing bool, endAt int, events []Event) []Event {
-	for rs.markQ.len() > 0 {
-		if rs.severity != nil && rs.sevQ.len() == 0 {
-			break
-		}
-		ready := true
-		for _, w := range rs.warmups {
-			if !w.ready() {
-				ready = false
-				break
-			}
-		}
-		if !ready {
-			break
-		}
-		mark := rs.markQ.pop()
-		sev := 0.0
-		if rs.severity != nil {
-			sev = rs.sevQ.pop()
-		}
-		suppressed := false
-		for _, w := range rs.warmups {
-			if w.maskNext() {
-				suppressed = true
-			}
-		}
-		t := rs.outStep
-		rs.outStep++
-
-		bad := mark != "" && !suppressed
-		if !bad {
-			if rs.open {
-				events = append(events, rs.close(t))
-			}
-			continue
-		}
-		if !rs.open {
-			rs.open = true
-			rs.openStart = t
-			rs.openMsg = mark
-			rs.peak = 0
-			events = append(events, Event{
-				Rule: rs.rule.Name,
-				Kind: ViolationBegin,
-				Time: time.Duration(t) * rs.period,
-			})
-		}
-		if rs.severity != nil {
-			a := math.Abs(sev)
-			if math.IsNaN(a) {
-				a = math.Inf(1)
-			}
-			if a > rs.peak {
-				rs.peak = a
-			}
-		}
-	}
-	if finishing && rs.open {
-		events = append(events, rs.close(endAt))
-	}
-	return events
-}
-
-// close ends the open violation exclusively at step end.
-func (rs *ruleStream) close(end int) Event {
-	rs.open = false
-	return Event{
-		Rule: rs.rule.Name,
-		Kind: ViolationEnd,
-		Time: time.Duration(end) * rs.period,
-		Violation: Violation{
-			StartStep: rs.openStart,
-			EndStep:   end,
-			Start:     time.Duration(rs.openStart) * rs.period,
-			End:       time.Duration(end) * rs.period,
-			Peak:      rs.peak,
-			Msg:       rs.openMsg,
-		},
-	}
-}
-
-// finish drains every stream and closes the rule at totalSteps,
-// appending the remaining events to events.
-func (rs *ruleStream) finish(totalSteps int, events []Event) []Event {
-	if rs.machine != nil {
-		for _, mark := range rs.machine.drainAll() {
-			rs.markQ.push(mark)
-		}
-	} else {
-		for i, a := range rs.asserts {
-			for _, o := range a.drain() {
-				rs.assertQs[i].push(o.val)
-			}
-		}
-		rs.assembleSpecMarks()
-	}
-	if rs.severity != nil {
-		for _, o := range rs.severity.drain() {
-			rs.sevQ.push(o.val)
-		}
-	}
-	for _, w := range rs.warmups {
-		if w.on != nil {
-			for _, o := range w.on.drain() {
-				w.onQ.push(o.val)
-			}
-		}
-	}
-	return rs.assemble(true, totalSteps, events)
 }

@@ -6,138 +6,6 @@ import (
 	"time"
 )
 
-// updatedStream exposes the child's freshness bit as its value.
-type updatedStream struct {
-	child stream
-}
-
-func (s *updatedStream) delay() int { return s.child.delay() }
-func (s *updatedStream) step(ctx *stepCtx) (streamOut, bool) {
-	o, ok := s.child.step(ctx)
-	if !ok {
-		return streamOut{}, false
-	}
-	return streamOut{val: b2f(o.upd), upd: o.upd}, true
-}
-func (s *updatedStream) drain() []streamOut {
-	rest := s.child.drain()
-	out := make([]streamOut, len(rest))
-	for i, o := range rest {
-		out[i] = streamOut{val: b2f(o.upd), upd: o.upd}
-	}
-	return out
-}
-
-// streamBuilder compiles expressions to incremental evaluators.
-type streamBuilder struct {
-	signals map[string]int // name -> ctx index
-	consts  map[string]float64
-	lets    map[string]Expr
-	mode    DeltaMode
-	period  time.Duration
-}
-
-func (b *streamBuilder) build(e Expr) (stream, error) {
-	switch x := e.(type) {
-	case *NumberLit:
-		return &constStream{v: x.Value}, nil
-	case *BoolLit:
-		return &constStream{v: b2f(x.Value)}, nil
-	case *Ident:
-		if le, ok := b.lets[x.Name]; ok {
-			// Lets are inlined: each reference gets its own (identical)
-			// pipeline state.
-			return b.build(le)
-		}
-		if v, ok := b.consts[x.Name]; ok {
-			return &constStream{v: v}, nil
-		}
-		idx, ok := b.signals[x.Name]
-		if !ok {
-			line, col := x.Pos()
-			return nil, errAt(line, col, "signal %q is not present in the stream", x.Name)
-		}
-		return &signalStream{idx: idx}, nil
-	case *Unary:
-		c, err := b.build(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &unaryStream{op: x.Op, child: c}, nil
-	case *Binary:
-		l, err := b.build(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.build(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return newBinaryStream(x.Op, l, r), nil
-	case *Call:
-		return b.buildCall(x)
-	case *Temporal:
-		c, err := b.build(x.X)
-		if err != nil {
-			return nil, err
-		}
-		lo := int(x.Lo / b.period)
-		hi := int(x.Hi / b.period)
-		if x.Past() {
-			return newPastStream(x.Op == "once", lo, hi, c), nil
-		}
-		return newTemporalStream(x.Op == "eventually", lo, hi, c), nil
-	default:
-		return nil, fmt.Errorf("speclang: internal error: unknown expression node %T", e)
-	}
-}
-
-func (b *streamBuilder) buildCall(x *Call) (stream, error) {
-	args := make([]stream, len(x.Args))
-	for i, a := range x.Args {
-		s, err := b.build(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = s
-	}
-	switch x.Func {
-	case "prev":
-		return newHistStream(histPrev, b.mode, b.period, args[0]), nil
-	case "delta":
-		return newHistStream(histDelta, b.mode, b.period, args[0]), nil
-	case "rate":
-		return newHistStream(histRate, b.mode, b.period, args[0]), nil
-	case "changed":
-		return newHistStream(histChanged, b.mode, b.period, args[0]), nil
-	case "rise":
-		return &edgeStream{rise: true, child: args[0]}, nil
-	case "fall":
-		return &edgeStream{rise: false, child: args[0]}, nil
-	case "updated":
-		return &updatedStream{child: args[0]}, nil
-	case "valid":
-		return newMapStream(func(v []float64) float64 {
-			return b2f(!math.IsNaN(v[0]) && !math.IsInf(v[0], 0))
-		}, args[0]), nil
-	case "abs":
-		return newMapStream(func(v []float64) float64 { return math.Abs(v[0]) }, args[0]), nil
-	case "min":
-		return newMapStream(func(v []float64) float64 { return math.Min(v[0], v[1]) }, args[0], args[1]), nil
-	case "max":
-		return newMapStream(func(v []float64) float64 { return math.Max(v[0], v[1]) }, args[0], args[1]), nil
-	case "cond":
-		return newMapStream(func(v []float64) float64 {
-			if truthy(v[0]) {
-				return v[1]
-			}
-			return v[2]
-		}, args[0], args[1], args[2]), nil
-	default:
-		return nil, fmt.Errorf("speclang: internal error: unknown builtin %q", x.Func)
-	}
-}
-
 // EventKind distinguishes streaming events.
 type EventKind int
 
@@ -167,23 +35,19 @@ type Event struct {
 type ruleStream struct {
 	rule   *Rule
 	period time.Duration
+	prog   *program
+	// delay is the rule's output delay. Every root register below is
+	// aligned to it, so after step k runs they all hold step k-delay.
+	delay int
 
-	// Specs: one stream and message per assert clause, with an
-	// alignment queue each.
-	asserts  []stream
-	msgs     []string
-	assertQs []ring[float64]
+	// Specs: one register and message per assert clause.
+	asserts []int32
+	msgs    []string
+	// Monitors: the state machine consumes the guard registers.
+	machine *machine
 
-	// Monitors: the state machine produces marks directly.
-	machine *machineStream
-	markQ   ring[string]
-
-	severity stream
-	sevQ     ring[float64]
-
-	warmups []*warmupStream
-
-	outStep int // next rule-output step to assemble
+	severity int32 // -1 when the rule has none
+	warmups  []warmup
 
 	// open violation state
 	open      bool
@@ -192,140 +56,91 @@ type ruleStream struct {
 	peak      float64
 }
 
-// warmupStream tracks one warmup clause incrementally.
-type warmupStream struct {
+// warmup tracks one warmup clause.
+type warmup struct {
 	window int
-	on     stream // nil = from trace start
-	onQ    ring[float64]
+	on     int32 // trigger register; -1 = from trace start
 	was    bool
 	// suppressedUntil is the exclusive end of the current suppression
 	// window, in steps.
 	suppressedUntil int
-	n               int
 }
 
-// ready reports whether the warmup can decide the next step.
-func (w *warmupStream) ready() bool {
-	return w.on == nil || w.onQ.len() > 0
-}
-
-// maskNext consumes one step and reports whether it is suppressed.
-func (w *warmupStream) maskNext() bool {
-	step := w.n
-	w.n++
-	if w.on == nil {
-		return step < w.window
+// suppresses advances the warmup to output step t and reports whether
+// t is suppressed.
+func (w *warmup) suppresses(t int, regs []reg) bool {
+	if w.on < 0 {
+		return t < w.window
 	}
-	cur := truthy(w.onQ.pop())
+	cur := truthy(regs[w.on].v)
 	if cur && !w.was {
-		w.suppressedUntil = step + w.window
+		w.suppressedUntil = t + w.window
 	}
 	w.was = cur
-	return step < w.suppressedUntil
+	return t < w.suppressedUntil
 }
 
-// machineStream runs a monitor state machine over delayed guard
-// streams.
-type machineStream struct {
-	m      *Monitor
-	states map[string]int
-	guards [][]stream // per state, per transition (nil for after)
-	queues [][]ring[float64]
-	vals   [][]float64 // reusable per-round guard value matrix
+// machine runs a monitor state machine over its guard registers.
+type machine struct {
+	m       *Monitor
+	guards  [][]int32 // per state, per transition; -1 for after
+	targets [][]int   // per state, per transition; -1 = stay
 	// fallbackMsg precomputes the per-state default violation message,
 	// so a violating step never formats on the hot path.
 	fallbackMsg []string
-	delay       int
+	period      time.Duration
 
 	cur     int
 	entered int
-	n       int
-	period  time.Duration
 }
 
-func newMachineStream(b *streamBuilder, m *Monitor, initial int, period time.Duration) (*machineStream, error) {
-	ms := &machineStream{
-		m:      m,
-		states: make(map[string]int, len(m.States)),
-		cur:    initial,
-		period: period,
-	}
+func newMachine(c *compiler, m *Monitor, initial int, period time.Duration) (*machine, error) {
+	states := make(map[string]int, len(m.States))
 	for i, st := range m.States {
-		ms.states[st.Name] = i
+		states[st.Name] = i
 	}
-	ms.guards = make([][]stream, len(m.States))
-	ms.queues = make([][]ring[float64], len(m.States))
-	ms.vals = make([][]float64, len(m.States))
-	ms.fallbackMsg = make([]string, len(m.States))
+	ms := &machine{
+		m:           m,
+		guards:      make([][]int32, len(m.States)),
+		targets:     make([][]int, len(m.States)),
+		fallbackMsg: make([]string, len(m.States)),
+		period:      period,
+		cur:         initial,
+	}
 	for i := range m.States {
 		st := &m.States[i]
-		ms.guards[i] = make([]stream, len(st.Transitions))
-		ms.queues[i] = make([]ring[float64], len(st.Transitions))
-		ms.vals[i] = make([]float64, len(st.Transitions))
+		ms.guards[i] = make([]int32, len(st.Transitions))
+		ms.targets[i] = make([]int, len(st.Transitions))
 		ms.fallbackMsg[i] = fmt.Sprintf("violation in state %s", st.Name)
 		for j := range st.Transitions {
 			tr := &st.Transitions[j]
+			ms.guards[i][j], ms.targets[i][j] = -1, -1
+			if tr.Target != "" {
+				ms.targets[i][j] = states[tr.Target]
+			}
 			if tr.Kind != TransWhen {
 				continue
 			}
-			g, err := b.build(tr.Guard)
+			g, err := c.build(tr.Guard)
 			if err != nil {
 				return nil, err
 			}
 			ms.guards[i][j] = g
-			if g.delay() > ms.delay {
-				ms.delay = g.delay()
-			}
 		}
 	}
 	return ms, nil
 }
 
-// push feeds one input step to every guard and, when all guards have an
-// output for the machine's next step, executes one transition round.
-// Returns the violation mark ("" when none) and ok.
-func (ms *machineStream) push(ctx *stepCtx) (string, bool) {
-	for i := range ms.guards {
-		for j, g := range ms.guards[i] {
-			if g == nil {
-				continue
-			}
-			if o, ok := g.step(ctx); ok {
-				ms.queues[i][j].push(o.val)
-			}
-		}
-	}
-	return ms.tryStep()
-}
-
-// tryStep executes one machine step if every guard queue has a value.
-func (ms *machineStream) tryStep() (string, bool) {
-	for i := range ms.queues {
-		for j := range ms.queues[i] {
-			if ms.guards[i][j] != nil && ms.queues[i][j].len() == 0 {
-				return "", false
-			}
-		}
-	}
-	t := ms.n
-	ms.n++
-	// Pop one value from every guard queue; only the current state's
-	// guards are consulted, but all streams advance in lockstep.
-	for i := range ms.queues {
-		for j := range ms.queues[i] {
-			if ms.guards[i][j] == nil {
-				continue
-			}
-			ms.vals[i][j] = ms.queues[i][j].pop()
-		}
-	}
+// step executes the transition round for output step t and returns the
+// violation mark, "" when none.
+func (ms *machine) step(t int, regs []reg) string {
 	mark := ""
 	for j := range ms.m.States[ms.cur].Transitions {
 		tr := &ms.m.States[ms.cur].Transitions[j]
 		fire := false
 		switch tr.Kind {
 		case TransWhen:
-			fire = truthy(ms.vals[ms.cur][j])
+			fire = truthy(regs[ms.guards[ms.cur][j]].v)
 		case TransAfter:
 			dwell := time.Duration(t-ms.entered) * ms.period
 			fire = dwell >= tr.Deadline
@@ -339,36 +154,193 @@ func (ms *machineStream) tryStep() (string, bool) {
 				mark = ms.fallbackMsg[ms.cur]
 			}
 		}
-		if tr.Target != "" {
-			next := ms.states[tr.Target]
-			if next != ms.cur {
-				ms.cur = next
-				ms.entered = t + 1
-			}
+		if next := ms.targets[ms.cur][j]; next >= 0 && next != ms.cur {
+			ms.cur = next
+			ms.entered = t + 1
 		}
 		break
 	}
-	return mark, true
+	return mark
 }
 
-// drainAll flushes every guard and runs the machine to completion.
-func (ms *machineStream) drainAll() []string {
-	for i := range ms.guards {
-		for j, g := range ms.guards[i] {
-			if g == nil {
-				continue
+func newRuleStream(r *Rule, signals map[string]int, period time.Duration, opts EvalOptions) (*ruleStream, error) {
+	var lets []Let
+	var warmups []Warmup
+	var severity Expr
+	if r.Kind == KindSpec {
+		lets, warmups, severity = r.spec.Lets, r.spec.Warmups, r.spec.Severity
+	} else {
+		lets, warmups, severity = r.monitor.Lets, r.monitor.Warmups, r.monitor.Severity
+	}
+	c := newCompiler(signals, r.consts, lets, opts.DeltaMode, period)
+	rs := &ruleStream{rule: r, period: period, prog: c.p, severity: -1}
+
+	if r.Kind == KindSpec {
+		for i, a := range r.spec.Asserts {
+			reg, err := c.build(a)
+			if err != nil {
+				return nil, err
 			}
-			for _, o := range g.drain() {
-				ms.queues[i][j].push(o.val)
+			line, _ := a.Pos()
+			rs.asserts = append(rs.asserts, reg)
+			rs.msgs = append(rs.msgs, fmt.Sprintf("assert #%d (line %d) failed", i+1, line))
+		}
+	} else {
+		ms, err := newMachine(c, r.monitor, r.initial, period)
+		if err != nil {
+			return nil, err
+		}
+		rs.machine = ms
+	}
+	if severity != nil {
+		reg, err := c.build(severity)
+		if err != nil {
+			return nil, err
+		}
+		rs.severity = reg
+	}
+	for _, w := range warmups {
+		ws := warmup{window: int(w.Window / period), on: -1}
+		if ws.window < 1 {
+			ws.window = 1
+		}
+		if w.On != nil {
+			reg, err := c.build(w.On)
+			if err != nil {
+				return nil, err
+			}
+			ws.on = reg
+		}
+		rs.warmups = append(rs.warmups, ws)
+	}
+
+	// Align every root to the slowest one, so a rule output step is
+	// decided from registers alone, with no queue between them.
+	roots := rs.roots()
+	for _, reg := range roots {
+		rs.delay = max(rs.delay, c.delay[*reg])
+	}
+	for _, reg := range roots {
+		*reg = c.align(*reg, rs.delay)
+	}
+	return rs, nil
+}
+
+// roots returns pointers to every register the rule decides from.
+func (rs *ruleStream) roots() []*int32 {
+	var out []*int32
+	for i := range rs.asserts {
+		out = append(out, &rs.asserts[i])
+	}
+	if rs.machine != nil {
+		for _, gs := range rs.machine.guards {
+			for j := range gs {
+				if gs[j] >= 0 {
+					out = append(out, &gs[j])
+				}
 			}
 		}
 	}
-	var marks []string
-	for {
-		mark, ok := ms.tryStep()
-		if !ok {
-			return marks
+	if rs.severity >= 0 {
+		out = append(out, &rs.severity)
+	}
+	for i := range rs.warmups {
+		if rs.warmups[i].on >= 0 {
+			out = append(out, &rs.warmups[i].on)
 		}
-		marks = append(marks, mark)
+	}
+	return out
+}
+
+// step runs input step k and, once the pipeline is full, decides output
+// step k-delay, appending its events to events.
+func (rs *ruleStream) step(vals []float64, upd []bool, k int, events []Event) []Event {
+	rs.prog.run(vals, upd, k, math.MaxInt)
+	if k >= rs.delay {
+		events = rs.decide(k-rs.delay, events)
+	}
+	return events
+}
+
+// finish drains the program after n input steps, deciding the output
+// steps still in flight, and closes any open violation at n.
+func (rs *ruleStream) finish(n int, events []Event) []Event {
+	for k := n; k < n+rs.delay; k++ {
+		rs.prog.run(nil, nil, k, n)
+		if k >= rs.delay {
+			events = rs.decide(k-rs.delay, events)
+		}
+	}
+	if rs.open {
+		events = append(events, rs.close(n))
+	}
+	return events
+}
+
+// decide assembles output step t from the aligned root registers and
+// maintains the open-violation state, appending decided events.
+func (rs *ruleStream) decide(t int, events []Event) []Event {
+	regs := rs.prog.regs
+	mark := ""
+	if rs.machine != nil {
+		mark = rs.machine.step(t, regs)
+	} else {
+		for i, reg := range rs.asserts {
+			if !truthy(regs[reg].v) {
+				mark = rs.msgs[i]
+				break
+			}
+		}
+	}
+	suppressed := false
+	for i := range rs.warmups {
+		if rs.warmups[i].suppresses(t, regs) {
+			suppressed = true
+		}
+	}
+	if mark == "" || suppressed {
+		if rs.open {
+			events = append(events, rs.close(t))
+		}
+		return events
+	}
+	if !rs.open {
+		rs.open = true
+		rs.openStart = t
+		rs.openMsg = mark
+		rs.peak = 0
+		events = append(events, Event{
+			Rule: rs.rule.Name,
+			Kind: ViolationBegin,
+			Time: time.Duration(t) * rs.period,
+		})
+	}
+	if rs.severity >= 0 {
+		a := math.Abs(regs[rs.severity].v)
+		if math.IsNaN(a) {
+			a = math.Inf(1)
+		}
+		if a > rs.peak {
+			rs.peak = a
+		}
+	}
+	return events
+}
+
+// close ends the open violation exclusively at step end.
+func (rs *ruleStream) close(end int) Event {
+	rs.open = false
+	return Event{
+		Rule: rs.rule.Name,
+		Kind: ViolationEnd,
+		Time: time.Duration(end) * rs.period,
+		Violation: Violation{
+			StartStep: rs.openStart,
+			EndStep:   end,
+			Start:     time.Duration(rs.openStart) * rs.period,
+			End:       time.Duration(end) * rs.period,
+			Peak:      rs.peak,
+			Msg:       rs.openMsg,
+		},
 	}
 }

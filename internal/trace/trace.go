@@ -125,6 +125,18 @@ func FromCANLog(log *can.Log, db *sigdb.DB) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Count each signal's updates first so every series is allocated
+	// once instead of regrowing as it fills.
+	counts := make([]int, len(names))
+	for _, f := range log.Frames() {
+		dst, _ := plan.Dst(f.ID)
+		for _, di := range dst {
+			counts[di]++
+		}
+	}
+	for i, s := range series {
+		s.Samples = make([]Sample, 0, counts[i])
+	}
 	scratch := make([]float64, plan.Width())
 	for _, f := range log.Frames() {
 		dst, ok := plan.Dst(f.ID)

@@ -348,3 +348,19 @@ func TestAlignHoldMatchesSeriesAtQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestFromCANLogAllocatesSeriesOnce(t *testing.T) {
+	log := busLog(t, 50, func(tick int, b *can.Bus) {
+		_ = b.Set(sigdb.SigVelocity, float64(tick))
+	})
+	tr, err := FromCANLog(log, sigdb.Vehicle())
+	if err != nil {
+		t.Fatalf("FromCANLog: %v", err)
+	}
+	for _, name := range tr.Names() {
+		s, _ := tr.Series(name)
+		if cap(s.Samples) != len(s.Samples) {
+			t.Errorf("%s: %d samples in capacity %d, want an exact presize", name, len(s.Samples), cap(s.Samples))
+		}
+	}
+}
