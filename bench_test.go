@@ -17,6 +17,7 @@ import (
 	"cpsmon/internal/campaign"
 	"cpsmon/internal/can"
 	"cpsmon/internal/hil"
+	"cpsmon/internal/obs"
 	"cpsmon/internal/rules"
 	"cpsmon/internal/scenario"
 	"cpsmon/internal/sigdb"
@@ -303,6 +304,57 @@ func BenchmarkMonitorOnline(b *testing.B) {
 		if _, err := om.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMonitorOnlineInstrumented measures the fleet's streaming
+// path over the same ten minutes of traffic: frames pushed through
+// PushFrames in 100 ms runs, as a session hands over wire batches, with
+// and without monitor metrics attached. It reports ns/frame, so the two
+// sub-benchmarks read off the cost of production telemetry directly.
+func BenchmarkMonitorOnlineInstrumented(b *testing.B) {
+	frames := benchLog(b).Frames()
+	var runs [][]can.Frame
+	for start := 0; start < len(frames); {
+		end := start
+		for end < len(frames) && frames[end].Time < frames[start].Time+100*time.Millisecond {
+			end++
+		}
+		runs = append(runs, frames[start:end])
+		start = end
+	}
+	mon, err := rules.NewStrictMonitor()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name    string
+		metrics bool
+	}{{"metrics=off", false}, {"metrics=on", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var met *core.Metrics
+			if bc.metrics {
+				met = core.NewMetrics(obs.NewRegistry(), "strict", mon.RuleNames())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				om, err := mon.Online(sigdb.Vehicle())
+				if err != nil {
+					b.Fatal(err)
+				}
+				om.Instrument(met)
+				for _, run := range runs {
+					if _, _, err := om.PushFrames(run); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := om.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(frames)), "ns/frame")
+		})
 	}
 }
 

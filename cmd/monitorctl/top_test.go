@@ -93,22 +93,22 @@ func TestRunTopRendersOneFrame(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"monitord " + target,
-		"ok",              // healthz state
-		"sessions",        // fleet block
-		"frames",          //
-		"burn 0.00",       // generous SLO target → zero burn
-		"target 5s",       //
-		"objective 99%",   //
-		"flight",          // recorder stats line
-		"STAGE",           // stage breakdown table
-		"ingest",          //
-		"decode",          //
-		"eval",            //
-		"emit",            //
-		"deliver",         // client-side span, same recorder
-		"VEHICLE",         // per-vehicle quantile table
-		"veh-top",         //
-		"E2E P50",         //
+		"ok",            // healthz state
+		"sessions",      // fleet block
+		"frames",        //
+		"burn 0.00",     // generous SLO target → zero burn
+		"target 5s",     //
+		"objective 99%", //
+		"flight",        // recorder stats line
+		"STAGE",         // stage breakdown table
+		"ingest",        //
+		"decode",        //
+		"eval",          //
+		"emit",          //
+		"deliver",       // client-side span, same recorder
+		"VEHICLE",       // per-vehicle quantile table
+		"veh-top",       //
+		"E2E P50",       //
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-top frame missing %q:\n%s", want, out)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"cpsmon/internal/can"
@@ -48,8 +49,12 @@ func TestOnlinePushFrameAllocFreeInstrumented(t *testing.T) {
 }
 
 // TestOnlineMetricsCounts checks the instrumented session's counters
-// against ground truth computed from the same trace: frames decoded,
-// steps finalized, events emitted and per-rule violation counts.
+// against ground truth computed from the same trace, after every push
+// call and after Close: frames decoded and steps finalized are exact
+// at each return, the step-latency histograms hold one observation per
+// sampled step (⌈steps/64⌉), and events emitted and per-rule violation
+// counts match the events returned. Frames are pushed one at a time
+// and in uneven PushFrames batches.
 func TestOnlineMetricsCounts(t *testing.T) {
 	log := buildLog(t, 400, func(tick int, bus *can.Bus) {
 		_ = bus.Set(sigdb.SigVelocity, 24)
@@ -62,62 +67,94 @@ func TestOnlineMetricsCounts(t *testing.T) {
 			_ = bus.Set(sigdb.SigACCEnabled, 0)
 		}
 	})
-	m := testMonitor(t)
-	om, err := m.Online(sigdb.Vehicle())
-	if err != nil {
-		t.Fatalf("Online: %v", err)
-	}
-	reg := obs.NewRegistry()
-	met := NewMetrics(reg, "strict", m.RuleNames())
-	om.Instrument(met)
+	frames := log.Frames()
+	for _, tc := range []struct {
+		name  string
+		batch int // 0: frame by frame through PushFrame
+	}{{"PushFrame", 0}, {"PushFrames", 37}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMonitor(t)
+			om, err := m.Online(sigdb.Vehicle())
+			if err != nil {
+				t.Fatalf("Online: %v", err)
+			}
+			met := NewMetrics(obs.NewRegistry(), "strict", m.RuleNames())
+			om.Instrument(met)
 
-	var events []OnlineEvent
-	for _, f := range log.Frames() {
-		evs, err := om.PushFrame(f)
-		if err != nil {
-			t.Fatalf("PushFrame: %v", err)
-		}
-		events = append(events, evs...)
-	}
-	evs, err := om.Close()
-	if err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	events = append(events, evs...)
+			// check compares the counters with the true totals after
+			// pushed frames and steps finalized.
+			check := func(at string, pushed int, steps uint64) {
+				t.Helper()
+				if got := met.framesDecoded.Value(); got != uint64(pushed) {
+					t.Fatalf("%s: frames decoded = %d, want %d", at, got, pushed)
+				}
+				if got := met.steps.Value(); got != steps {
+					t.Fatalf("%s: steps = %d, want %d", at, got, steps)
+				}
+				sampled := (steps + stepSampleEvery - 1) / stepSampleEvery
+				if got := met.stepLatency.Count(); got != sampled {
+					t.Fatalf("%s: step latency count = %d, want ⌈%d/%d⌉ = %d", at, got, steps, stepSampleEvery, sampled)
+				}
+				for i := range met.ruleStep {
+					if got := met.ruleStep[i].Count(); got != sampled {
+						t.Fatalf("%s: rule %d step latency count = %d, want %d", at, i, got, sampled)
+					}
+				}
+			}
 
-	if got, want := met.framesDecoded.Value(), uint64(len(log.Frames())); got != want {
-		t.Errorf("frames decoded = %d, want %d", got, want)
-	}
-	if got, want := met.events.Value(), uint64(len(events)); got != want || want == 0 {
-		t.Errorf("events = %d, want %d (nonzero)", got, want)
-	}
-	wantViol := map[string]uint64{}
-	for _, e := range events {
-		if e.Kind == speclang.ViolationEnd {
-			wantViol[e.Rule]++
-		}
-	}
-	if len(wantViol) == 0 {
-		t.Fatal("fixture produced no violations")
-	}
-	for rule, want := range wantViol {
-		i, ok := met.ruleIndex[rule]
-		if !ok {
-			t.Fatalf("rule %q missing from metrics index", rule)
-		}
-		if got := met.ruleViolations[i].Value(); got != want {
-			t.Errorf("violations[%s] = %d, want %d", rule, got, want)
-		}
-	}
-	if met.steps.Value() == 0 || met.stepLatency.Count() != met.steps.Value() {
-		t.Errorf("steps = %d, step latency count = %d; want equal and nonzero",
-			met.steps.Value(), met.stepLatency.Count())
-	}
-	// Per-rule step observers fire once per rule per step.
-	for i := range met.ruleStep {
-		if got := met.ruleStep[i].Count(); got != met.steps.Value() {
-			t.Errorf("rule %d step observations = %d, want %d", i, got, met.steps.Value())
-		}
+			// A frame at time t belongs to grid step ⌈t/period⌉, and
+			// pushing it finalizes every step before that one.
+			var events []OnlineEvent
+			for pushed := 0; pushed < len(frames); {
+				var evs []OnlineEvent
+				n := 1
+				if tc.batch == 0 {
+					evs, err = om.PushFrame(frames[pushed])
+				} else {
+					n = min(tc.batch, len(frames)-pushed)
+					evs, _, err = om.PushFrames(frames[pushed : pushed+n])
+				}
+				if err != nil {
+					t.Fatalf("push: %v", err)
+				}
+				events = append(events, evs...)
+				pushed += n
+				last := frames[pushed-1].Time
+				check(fmt.Sprintf("after %d frames", pushed), pushed, uint64((last+m.period-1)/m.period))
+			}
+			evs, err := om.Close()
+			if err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			events = append(events, evs...)
+			steps := uint64(frames[len(frames)-1].Time/m.period) + 1
+			if steps < 2*stepSampleEvery {
+				t.Fatalf("fixture spans %d steps; too few to exercise sampling", steps)
+			}
+			check("after Close", len(frames), steps)
+
+			if got, want := met.events.Value(), uint64(len(events)); got != want || want == 0 {
+				t.Errorf("events = %d, want %d (nonzero)", got, want)
+			}
+			wantViol := map[string]uint64{}
+			for _, e := range events {
+				if e.Kind == speclang.ViolationEnd {
+					wantViol[e.Rule]++
+				}
+			}
+			if len(wantViol) == 0 {
+				t.Fatal("fixture produced no violations")
+			}
+			for rule, want := range wantViol {
+				i, ok := met.ruleIndex[rule]
+				if !ok {
+					t.Fatalf("rule %q missing from metrics index", rule)
+				}
+				if got := met.ruleViolations[i].Value(); got != want {
+					t.Errorf("violations[%s] = %d, want %d", rule, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -58,9 +58,18 @@ type OnlineMonitor struct {
 	closed   bool
 
 	// met, when non-nil, receives frame/step/event accounting; see
-	// Instrument. All updates are atomic counter bumps, so the
+	// Instrument and metrics.go. All updates are atomic, so the
 	// allocation-free contract above holds with metrics enabled.
 	met *Metrics
+
+	// Frame and step counts since the last publish: plain fields bumped
+	// on the hot path and added to met's shared counters once per
+	// PushFrame, PushFrames or Close return.
+	nDecoded, nStale, nSteps uint64
+
+	// stepNanos receives the per-rule times of a timed step (see
+	// StreamChecker.StepTimed), one slot per rule in rule-set order.
+	stepNanos []int64
 
 	// Stage-timing state (see stagetiming.go): timing is armed per
 	// sampled batch by BeginStageTiming; the accumulators attribute the
@@ -84,13 +93,14 @@ func (m *Monitor) Online(db *sigdb.DB) (*OnlineMonitor, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	o := &OnlineMonitor{
-		plan:    plan,
-		period:  m.period,
-		triage:  m.triage,
-		sc:      sc,
-		names:   names,
-		latched: make([]float64, len(names)),
-		updated: make([]bool, len(names)),
+		plan:      plan,
+		period:    m.period,
+		triage:    m.triage,
+		sc:        sc,
+		names:     names,
+		latched:   make([]float64, len(names)),
+		updated:   make([]bool, len(names)),
+		stepNanos: make([]int64, sc.NumRules()),
 	}
 	for i := range o.latched {
 		o.latched[i] = math.NaN() // not yet valid, as offline alignment
@@ -120,6 +130,7 @@ func (o *OnlineMonitor) PushFrame(f can.Frame) ([]OnlineEvent, error) {
 		return nil, fmt.Errorf("core: out-of-order frame at %v after %v", f.Time, o.lastTime)
 	}
 	o.events = o.events[:0]
+	defer o.publish()
 	if err := o.push(f); err != nil {
 		return nil, err
 	}
@@ -139,12 +150,11 @@ func (o *OnlineMonitor) PushFrames(frames []can.Frame) (events []OnlineEvent, re
 		return nil, 0, fmt.Errorf("core: PushFrames after Close")
 	}
 	o.events = o.events[:0]
+	defer o.publish()
 	for _, f := range frames {
 		if o.sawFrame && f.Time < o.lastTime {
 			rejected++
-			if o.met != nil {
-				o.met.framesStale.Inc()
-			}
+			o.nStale++
 			continue
 		}
 		if err := o.push(f); err != nil {
@@ -161,9 +171,7 @@ func (o *OnlineMonitor) push(f can.Frame) error {
 	if !ok {
 		return nil
 	}
-	if o.met != nil {
-		o.met.framesDecoded.Inc()
-	}
+	o.nDecoded++
 	o.sawFrame = true
 	o.lastTime = f.Time
 
@@ -196,27 +204,37 @@ func (o *OnlineMonitor) push(f can.Frame) error {
 }
 
 // finalizeStep pushes the pending step into the checker and converts
-// its events into the scratch buffer.
+// its events into the scratch buffer. Only a timed step reads the
+// clock: one in stepSampleEvery when metrics are attached (the step
+// latency histograms' sample), and every step of a stage-timed batch.
+// A step that is both is timed once and feeds both consumers.
 func (o *OnlineMonitor) finalizeStep() error {
-	var t0 time.Time
-	timed := o.met != nil || o.timing
-	if timed {
-		t0 = time.Now()
-	}
-	evs, err := o.sc.Step(o.latched, o.updated)
-	if timed {
-		d := time.Since(t0)
-		if o.met != nil {
-			o.met.stepLatency.Observe(d.Seconds())
-			o.met.steps.Inc()
+	sampled := o.met != nil && o.pending%stepSampleEvery == 0
+	var evs []speclang.Event
+	var err error
+	if sampled || o.timing {
+		if evs, err = o.sc.StepTimed(o.latched, o.updated, o.stepNanos); err != nil {
+			return err
+		}
+		// The rule times tile the step back to back, so their sum is
+		// the whole step's latency.
+		var d int64
+		for _, n := range o.stepNanos {
+			d += n
+		}
+		if sampled {
+			o.met.observeStep(d, o.stepNanos)
 		}
 		if o.timing {
-			o.evalNanos += int64(d)
+			o.evalNanos += d
+			for i, n := range o.stepNanos[:min(len(o.stepNanos), len(o.ruleNanos))] {
+				o.ruleNanos[i] += n
+			}
 		}
-	}
-	if err != nil {
+	} else if evs, err = o.sc.Step(o.latched, o.updated); err != nil {
 		return err
 	}
+	o.nSteps++
 	for i := range o.updated {
 		o.updated[i] = false
 	}
@@ -236,6 +254,7 @@ func (o *OnlineMonitor) Close() ([]OnlineEvent, error) {
 		return nil, fmt.Errorf("core: Close called twice")
 	}
 	o.events = o.events[:0]
+	defer o.publish()
 	last := int(o.lastTime / o.period) // floor: trailing partial-step frames fall outside the grid
 	for o.pending <= last {
 		if err := o.finalizeStep(); err != nil {

@@ -20,7 +20,6 @@ package core
 // frame) until BeginStageTiming.
 func (o *OnlineMonitor) EnableStageTiming(nRules int) {
 	o.ruleNanos = make([]int64, nRules)
-	o.installObserver()
 }
 
 // BeginStageTiming starts attribution for the next batch: subsequent
@@ -44,24 +43,4 @@ func (o *OnlineMonitor) BeginStageTiming() {
 func (o *OnlineMonitor) EndStageTiming() (decodeNanos, evalNanos int64, perRule []int64) {
 	o.timing = false
 	return o.decodeNanos, o.evalNanos, o.ruleNanos
-}
-
-// installObserver wires the stream checker's per-rule step observer to
-// whatever consumers are active: the metrics histograms, the stage
-//-timing accumulator, both, or neither (observer removed, so the
-// checker skips per-rule clock reads entirely).
-func (o *OnlineMonitor) installObserver() {
-	m := o.met
-	if m == nil && o.ruleNanos == nil {
-		o.sc.Observe(nil)
-		return
-	}
-	o.sc.Observe(func(rule int, nanos int64) {
-		if m != nil && rule < len(m.ruleStep) {
-			m.ruleStep[rule].Observe(float64(nanos) / 1e9)
-		}
-		if o.timing && rule < len(o.ruleNanos) {
-			o.ruleNanos[rule] += nanos
-		}
-	})
 }

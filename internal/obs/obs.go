@@ -175,7 +175,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// DefaultLatencyBuckets spans 10µs to ~80s in powers of four —
+// DefaultLatencyBuckets spans 10µs to ~42s in powers of four —
 // wide enough for both a per-batch ingest hop and a slow drain.
 func DefaultLatencyBuckets() []float64 { return ExpBuckets(10e-6, 4, 12) }
 

@@ -105,9 +105,11 @@ spec B {
 	}
 }
 
-// TestStreamObserveOncePerRuleInOrder pins the Observe contract: one
-// callback per rule per Step, in rule-set order.
-func TestStreamObserveOncePerRuleInOrder(t *testing.T) {
+// TestStreamStepTimedOncePerRuleInOrder pins the StepTimed contract:
+// each rule's slot is written once per timed step, in rule-set order,
+// with the time between consecutive clock readings; plain Step and
+// Finish read no clock and write nothing.
+func TestStreamStepTimedOncePerRuleInOrder(t *testing.T) {
 	rs := compileOne(t, `
 spec R0 { assert x <= 0.5 }
 spec R1 { severity delta(x) assert eventually[0:40ms](x < 0.2) }
@@ -119,31 +121,56 @@ monitor R2 { initial state A { when a && x > 0.9 => violate "hi" } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []int
-	sc.Observe(func(rule int, nanos int64) {
-		if nanos < 0 {
-			t.Errorf("rule %d observed negative time %d", rule, nanos)
-		}
-		got = append(got, rule)
-	})
+	if sc.NumRules() != 3 {
+		t.Fatalf("NumRules = %d, want 3", sc.NumRules())
+	}
+	// The fake clock's j-th reading within a step advances it j ns, so
+	// the interval ending at reading j lasts j ns: slot i holds i+2
+	// exactly when rule i was timed (i+1)-th and written once.
+	var reads int
+	var now time.Time
+	saved := clock
+	clock = func() time.Time {
+		reads++
+		now = now.Add(time.Duration(reads))
+		return now
+	}
+	t.Cleanup(func() { clock = saved })
+
 	vals, upd := make([]float64, 2), make([]bool, 2)
+	nanos := make([]int64, 3)
 	for k := 0; k < src.NumSteps(); k++ {
 		for i, name := range names {
 			vals[i], upd[i] = src.vals[name][k], src.upd[name][k]
 		}
-		got = got[:0]
-		if _, err := sc.Step(vals, upd); err != nil {
+		for i := range nanos {
+			nanos[i] = -1
+		}
+		reads = 0
+		if k%2 == 1 {
+			if _, err := sc.Step(vals, upd); err != nil {
+				t.Fatal(err)
+			}
+			if reads != 0 || nanos[0] != -1 || nanos[1] != -1 || nanos[2] != -1 {
+				t.Fatalf("step %d: plain Step read the clock %d times, slots %v", k, reads, nanos)
+			}
+			continue
+		}
+		if _, err := sc.StepTimed(vals, upd, nanos); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-			t.Fatalf("step %d: observed rules %v, want [0 1 2]", k, got)
+		if reads != 4 || nanos[0] != 2 || nanos[1] != 3 || nanos[2] != 4 {
+			t.Fatalf("step %d: %d clock reads, slots %v; want 4 reads, slots [2 3 4]", k, reads, nanos)
 		}
 	}
-	got = got[:0]
+	if _, err := sc.StepTimed(vals, upd, nanos[:2]); err == nil {
+		t.Error("StepTimed accepted a nanos slice shorter than the rule count")
+	}
+	reads = 0
 	if _, err := sc.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Errorf("Finish observed rules %v; Observe times Step only", got)
+	if reads != 0 {
+		t.Errorf("Finish read the clock %d times; only StepTimed times a step", reads)
 	}
 }

@@ -20,10 +20,10 @@ package speclang
 // the monitor engine's parallel CheckGrid, the recheck shards — must
 // use one Scratch per worker (a sync.Pool of them works well).
 type Scratch struct {
-	n      int // slab length the pools are sized for
-	floats [][]float64
-	bools  [][]bool
-	ints   [][]int
+	n          int // slab length the pools are sized for
+	floats     [][]float64
+	bools      [][]bool
+	ints       [][]int
 	nf, nb, ni int // slabs handed out since the last begin
 }
 

@@ -15,7 +15,7 @@ func scratchSource(n int) *memSource {
 	rng := make([]float64, n)
 	upd := make([]bool, n)
 	for i := 0; i < n; i++ {
-		vel[i] = float64(20 + (i%40)-(i%13))
+		vel[i] = float64(20 + (i % 40) - (i % 13))
 		rng[i] = float64(60 - (i % 55))
 		upd[i] = i%5 == 0 // slow signal: updates every fifth step
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // TestStreamStepZeroAllocs pins steady-state StreamChecker.Step at zero
-// allocations for the paper's strict and relaxed rule sets, with and
-// without a per-rule observer. The input cycles through a pattern that
+// allocations for the paper's strict and relaxed rule sets, both as
+// plain Step and as StepTimed. The input cycles through a pattern that
 // opens and closes violations, so the event path is exercised too.
 func TestStreamStepZeroAllocs(t *testing.T) {
 	names := sigdb.Vehicle().SignalNames()
@@ -31,7 +31,7 @@ func TestStreamStepZeroAllocs(t *testing.T) {
 		name string
 		load func() (*speclang.RuleSet, error)
 	}{{"strict", rules.Strict}, {"relaxed", rules.Relaxed}} {
-		for _, observe := range []bool{false, true} {
+		for _, timed := range []bool{false, true} {
 			rs, err := set.load()
 			if err != nil {
 				t.Fatal(err)
@@ -40,14 +40,17 @@ func TestStreamStepZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var spent int64
-			if observe {
-				sc.Observe(func(_ int, nanos int64) { spent += nanos })
-			}
+			nanos := make([]int64, sc.NumRules())
 			events := 0
 			k := 0
 			step := func() {
-				evs, err := sc.Step(vals[k%period], upd[k%period])
+				var evs []speclang.Event
+				var err error
+				if timed {
+					evs, err = sc.StepTimed(vals[k%period], upd[k%period], nanos)
+				} else {
+					evs, err = sc.Step(vals[k%period], upd[k%period])
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,7 +64,7 @@ func TestStreamStepZeroAllocs(t *testing.T) {
 				t.Fatalf("%s: warm-up produced no events; the pin would skip the event path", set.name)
 			}
 			if allocs := testing.AllocsPerRun(5*period, step); allocs != 0 {
-				t.Errorf("%s (observe=%v): steady-state Step allocates %.2f times per step, want 0", set.name, observe, allocs)
+				t.Errorf("%s (timed=%v): steady-state Step allocates %.2f times per step, want 0", set.name, timed, allocs)
 			}
 		}
 	}

@@ -20,20 +20,6 @@ type StreamChecker struct {
 	// evbuf is reused across Step calls so a steady-state step performs
 	// no allocation.
 	evbuf []Event
-
-	// observe, when set, receives the wall-clock nanoseconds each rule
-	// spent inside Step, keyed by rule index in rule-set order. Nil (the
-	// default) costs nothing on the hot path.
-	observe func(rule int, nanos int64)
-}
-
-// Observe installs a per-rule step-latency observer: fn is called once
-// per rule per Step with the rule's index (rule-set order) and the
-// nanoseconds its incremental evaluation took. Pass nil to remove the
-// observer. The callback runs on the Step hot path, so it must not
-// block or allocate; metric counters are the intended consumer.
-func (sc *StreamChecker) Observe(fn func(rule int, nanos int64)) {
-	sc.observe = fn
 }
 
 // NewStreamChecker builds an online checker over the given signal
@@ -60,6 +46,10 @@ func (rs *RuleSet) NewStreamChecker(signals []string, period time.Duration, opts
 	return sc, nil
 }
 
+// NumRules returns the number of rules the checker evaluates: the
+// length StepTimed expects of its nanos slice.
+func (sc *StreamChecker) NumRules() int { return len(sc.rules) }
+
 // Signals returns the signal order expected by Step.
 func (sc *StreamChecker) Signals() []string {
 	out := make([]string, len(sc.names))
@@ -71,31 +61,60 @@ func (sc *StreamChecker) Signals() []string {
 // the checker's signal order, upd the per-signal freshness bits. It
 // returns any events that became decidable. The returned slice is a
 // scratch buffer owned by the checker: it is valid only until the next
-// Step or Finish call, so callers that retain events across steps must
-// copy them out.
+// Step, StepTimed or Finish call, so callers that retain events across
+// steps must copy them out. Step never reads the clock.
 func (sc *StreamChecker) Step(vals []float64, upd []bool) ([]Event, error) {
-	if sc.done {
-		return nil, fmt.Errorf("speclang: Step after Finish")
+	if err := sc.checkStep(vals, upd); err != nil {
+		return nil, err
 	}
-	if len(vals) != len(sc.names) || len(upd) != len(sc.names) {
-		return nil, fmt.Errorf("speclang: step carries %d/%d entries, want %d", len(vals), len(upd), len(sc.names))
-	}
-	k := sc.steps
 	events := sc.evbuf[:0]
-	if sc.observe == nil {
-		for _, r := range sc.rules {
-			events = r.step(vals, upd, k, events)
-		}
-	} else {
-		for i, r := range sc.rules {
-			t0 := time.Now()
-			events = r.step(vals, upd, k, events)
-			sc.observe(i, time.Since(t0).Nanoseconds())
-		}
+	for _, r := range sc.rules {
+		events = r.step(vals, upd, sc.steps, events)
 	}
 	sc.evbuf = events
 	sc.steps++
 	return events, nil
+}
+
+// StepTimed is Step with per-rule timing: nanos[i] receives the
+// wall-clock nanoseconds rule i (rule-set order) spent on this step.
+// nanos must hold NumRules entries; the caller owns it, so the call
+// allocates nothing. The clock is read once before the first rule and
+// once after each, so the rule times tile the step back to back.
+func (sc *StreamChecker) StepTimed(vals []float64, upd []bool, nanos []int64) ([]Event, error) {
+	if err := sc.checkStep(vals, upd); err != nil {
+		return nil, err
+	}
+	if len(nanos) != len(sc.rules) {
+		return nil, fmt.Errorf("speclang: timed step carries %d rule slots, want %d", len(nanos), len(sc.rules))
+	}
+	events := sc.evbuf[:0]
+	t := clock()
+	for i, r := range sc.rules {
+		events = r.step(vals, upd, sc.steps, events)
+		now := clock()
+		nanos[i] = int64(now.Sub(t))
+		t = now
+	}
+	sc.evbuf = events
+	sc.steps++
+	return events, nil
+}
+
+// clock is StepTimed's time source, a variable so tests can substitute
+// a deterministic one.
+var clock = time.Now
+
+// checkStep validates one step's input against the checker's state and
+// signal universe.
+func (sc *StreamChecker) checkStep(vals []float64, upd []bool) error {
+	if sc.done {
+		return fmt.Errorf("speclang: Step after Finish")
+	}
+	if len(vals) != len(sc.names) || len(upd) != len(sc.names) {
+		return fmt.Errorf("speclang: step carries %d/%d entries, want %d", len(vals), len(upd), len(sc.names))
+	}
+	return nil
 }
 
 // Finish drains every rule's pipeline, closes open violations at the
