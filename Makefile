@@ -16,7 +16,7 @@ help:
 	@echo "  chaos       seeded transport-chaos suite under -race + wire fuzz smoke"
 	@echo "  crash       subprocess SIGKILL matrix: 16 seeded kills of a real monitord under -race"
 	@echo "  fuzz        brief fuzz passes (wire decoder, spec parser, archive segments)"
-	@echo "  fuzz-smoke  10s each of the segment, wire, ledger and spec-parser fuzzers"
+	@echo "  fuzz-smoke  10s each of the segment, wire, ledger, spec-parser and stream-semantics fuzzers"
 	@echo "  vet         go vet everything"
 
 test:
@@ -31,12 +31,12 @@ test:
 # The archive store and recheck engine are listed explicitly: their
 # torn-tail recovery and pump-drain tests are exactly the concurrent
 # durability paths the race gate exists for, and -count=1 keeps cached
-# passes from masking them. core and speclang join the list with PR 8's
-# parallel grid evaluation and sharded recheck: the differential tests
-# (parallel output == sequential at 1/2/4/8 workers) are only meaningful
-# under the race detector. specreg joins with PR 10: the rollout
-# controller races its poll loop against operator promote/rollback by
-# design.
+# passes from masking them. core and speclang stay on the list: one
+# monitor serves checks from many goroutines at once (campaigns,
+# recheck shards), so the reference and online/offline differentials
+# run uncached under the race detector. specreg is listed
+# because the rollout controller races its poll loop against operator
+# promote/rollback by design.
 race: vet chaos crash
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 ./internal/archive ./internal/recheck ./internal/durable ./internal/core ./internal/speclang ./internal/specreg
@@ -79,12 +79,15 @@ fuzz: fuzz-smoke
 # decoder, the session ledger fold — and, since `spec push` started
 # accepting operator uploads into a running daemon, the spec parser and
 # compiler (every refusal must be a positioned error, never a panic).
-# 10 seconds each — the smoke level CI can afford on every run.
+# The stream-semantics fuzzer pins the one rule evaluator against the
+# reference semantics over random specs and traces. 10 seconds each —
+# the smoke level CI can afford on every run.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSegment -fuzztime=10s ./internal/archive
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzLedgerFold -fuzztime=10s ./internal/durable
 	$(GO) test -run=^$$ -fuzz=FuzzSpecParser -fuzztime=10s ./internal/speclang
+	$(GO) test -run=^$$ -fuzz=FuzzStreamSemantics -fuzztime=10s ./internal/speclang
 
 vet:
 	$(GO) vet ./...

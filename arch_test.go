@@ -310,8 +310,8 @@ func TestRecheckDependencySurface(t *testing.T) {
 }
 
 // TestSpeclangStaysStandardLibraryOnly keeps the specification language
-// a leaf package: it is shared by the online checker, the offline
-// evaluator and the recheck engine, and its scratch arena sits on every
+// a leaf package: its stream checker is the one evaluator behind the
+// online monitor, the offline checks and the recheck engine, on every
 // hot path — it may import nothing of cpsmon.
 func TestSpeclangStaysStandardLibraryOnly(t *testing.T) {
 	for ipath, files := range cpsmonImports(t, "internal/speclang") {

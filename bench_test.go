@@ -233,52 +233,26 @@ func BenchmarkMonitorCheckTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckGridParallel measures the offline grid evaluation with
-// the rules fanned over a worker pool (Config.EvalParallelism): the
-// same ten minutes of traffic as BenchmarkMonitorCheckTrace, evaluated
-// at parallelism 1, 4 and GOMAXPROCS. The report is identical at every
-// width (pinned by the core differential tests); this records what the
-// width buys in wall clock on this machine.
-func BenchmarkCheckGridParallel(b *testing.B) {
-	tr := benchTrace(b)
-	grid, err := trace.Align(tr, sigdb.FastPeriod)
+// BenchmarkMonitorCheckLog measures the offline oracle from the frame
+// log itself over the same ten minutes of traffic: CheckLog replays the
+// frames through an online session's decode plan and stream checker,
+// with no trace or grid in between. It reports ns/frame, comparable
+// with BenchmarkMonitorOnlineInstrumented.
+func BenchmarkMonitorCheckLog(b *testing.B) {
+	log := benchLog(b)
+	mon, err := rules.NewStrictMonitor()
 	if err != nil {
 		b.Fatal(err)
 	}
-	rs, err := rules.Strict()
-	if err != nil {
-		b.Fatal(err)
+	db := sigdb.Vehicle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mon.CheckLog(log, db); err != nil {
+			b.Fatal(err)
+		}
 	}
-	for _, bc := range []struct {
-		name string
-		par  int
-	}{
-		{"par=1", 1},
-		{"par=4", 4},
-		{"par=max", 0},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			mon, err := core.New(core.Config{
-				Rules:           rs,
-				Triage:          rules.DefaultTriage(),
-				EvalParallelism: bc.par,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := mon.CheckGrid(grid)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rep.Rules) != 7 {
-					b.Fatalf("evaluated %d rules, want 7", len(rep.Rules))
-				}
-			}
-		})
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*log.Len()), "ns/frame")
 }
 
 // BenchmarkMonitorOnline measures the streaming monitor over the same

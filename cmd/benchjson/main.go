@@ -7,9 +7,11 @@
 //	go test -bench=. -benchmem -run='^$' ./... | benchjson > BENCH.json
 //	go test -bench=. -benchmem -run='^$' ./... | benchjson -label PR4 > BENCH_PR4.json
 //
-// Non-benchmark lines (package headers, PASS/ok trailers, metrics
-// emitted via b.ReportMetric) are ignored. The -N GOMAXPROCS suffix is
-// stripped from names so records stay comparable across machines.
+// Non-benchmark lines (package headers, PASS/ok trailers) are ignored.
+// Columns beyond ns/op, B/op and allocs/op (b.ReportMetric values such
+// as ns/frame, or MB/s) are kept in each record's metrics map, keyed by
+// unit. The -N GOMAXPROCS suffix is stripped from names so records stay
+// comparable across machines.
 // -label tags every record, so a snapshot says which PR produced it
 // even after it is copied or concatenated with another.
 package main
@@ -34,6 +36,8 @@ type Record struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	// Metrics holds every other "<value> <unit>" column, keyed by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // applyLabel stamps every record with the snapshot's tag.
@@ -74,18 +78,24 @@ func parse(r io.Reader) ([]Record, error) {
 			Iterations: iters,
 			NsPerOp:    ns,
 		}
-		// With -benchmem the tail is: <B> B/op <allocs> allocs/op,
-		// possibly preceded by custom ReportMetric columns.
-		for i := 4; i+1 < len(fields); i++ {
-			v, err := strconv.ParseInt(fields[i], 10, 64)
+		// The tail is "<value> <unit>" pairs: B/op and allocs/op with
+		// -benchmem, plus any custom ReportMetric columns.
+		for i := 4; i+1 < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
+				i-- // not a value: resynchronise one field on
 				continue
 			}
-			switch fields[i+1] {
+			switch unit := fields[i+1]; unit {
 			case "B/op":
-				rec.BytesPerOp = v
+				rec.BytesPerOp = int64(v)
 			case "allocs/op":
-				rec.AllocsPerOp = v
+				rec.AllocsPerOp = int64(v)
+			default:
+				if rec.Metrics == nil {
+					rec.Metrics = make(map[string]float64)
+				}
+				rec.Metrics[unit] = v
 			}
 		}
 		out = append(out, rec)

@@ -13,6 +13,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkFig1SignalCodec-8   	34024694	        35.21 ns/op	       0 B/op	       0 allocs/op
 BenchmarkMonitorOnline-8     	      22	  51085132 ns/op	   15769 frames/sec	      63 ns/frame	   38848 B/op	     402 allocs/op
 BenchmarkSpecCompile         	    8342	    142035 ns/op	   98637 B/op	    1792 allocs/op
+BenchmarkMonitorCheckLog-2   	      24	  47312008 ns/op	        63.08 ns/frame	 9182734 B/op	    1517 allocs/op
 PASS
 ok  	cpsmon	12.442s
 --- BENCH: BenchmarkSomethingVerbose
@@ -24,8 +25,8 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("parsed %d records, want 3: %+v", len(recs), recs)
+	if len(recs) != 4 {
+		t.Fatalf("parsed %d records, want 4: %+v", len(recs), recs)
 	}
 	codec := recs[0]
 	if codec.Name != "BenchmarkFig1SignalCodec" {
@@ -42,9 +43,20 @@ func TestParse(t *testing.T) {
 	if online.BytesPerOp != 38848 || online.AllocsPerOp != 402 {
 		t.Errorf("online record = %+v", online)
 	}
+	if online.Metrics["frames/sec"] != 15769 || online.Metrics["ns/frame"] != 63 || len(online.Metrics) != 2 {
+		t.Errorf("online custom metrics = %v, want frames/sec and ns/frame", online.Metrics)
+	}
 	bare := recs[2]
 	if bare.Name != "BenchmarkSpecCompile" || bare.AllocsPerOp != 1792 {
 		t.Errorf("bare record = %+v", bare)
+	}
+	if bare.Metrics != nil {
+		t.Errorf("bare record grew metrics %v", bare.Metrics)
+	}
+	checklog := recs[3]
+	if checklog.Name != "BenchmarkMonitorCheckLog" || checklog.Metrics["ns/frame"] != 63.08 ||
+		checklog.BytesPerOp != 9182734 || checklog.AllocsPerOp != 1517 {
+		t.Errorf("checklog record = %+v", checklog)
 	}
 }
 

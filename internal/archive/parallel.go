@@ -54,7 +54,11 @@ type ParallelIterator struct {
 	cancel  chan struct{}
 	once    sync.Once
 	wg      sync.WaitGroup
-	pool    sync.Pool
+	// free recycles consumed chunks to the decode workers. It is owned
+	// by the iterator, so its arenas die with it: a sync.Pool stays
+	// registered with the runtime and would keep every finished
+	// iterator's arenas reachable until the next two collections.
+	free chan *scanChunk
 
 	cur     *scanChunk
 	curIdx  int
@@ -95,8 +99,9 @@ func (c *Catalog) ParallelIter(q Query, opt ScanOptions) *ParallelIterator {
 		results: make([]chan *scanChunk, len(eligible)),
 		tokens:  make(chan struct{}, ahead),
 		cancel:  make(chan struct{}),
+		// At most ahead chunks are out at once, one per token.
+		free: make(chan *scanChunk, ahead),
 	}
-	p.pool.New = func() any { return new(scanChunk) }
 	for i := range p.results {
 		// Capacity one and exactly one send per index: workers never
 		// block delivering a result, so Close cannot strand them.
@@ -144,11 +149,16 @@ func (c *Catalog) ParallelIter(q Query, opt ScanOptions) *ParallelIterator {
 
 // decodeSegment replays one segment through a worker-owned sequential
 // iterator, copying every record (and its frames, which are iterator
-// scratch) into a pooled chunk arena. Records sliced from the arena
+// scratch) into a recycled chunk arena. Records sliced from the arena
 // stay valid when a later append reallocates it — the old backing
 // array is untouched.
 func (p *ParallelIterator) decodeSegment(it *Iterator, seg segment) *scanChunk {
-	ch := p.pool.Get().(*scanChunk)
+	var ch *scanChunk
+	select {
+	case ch = <-p.free:
+	default:
+		ch = new(scanChunk)
+	}
 	ch.recs, ch.frames, ch.err = ch.recs[:0], ch.frames[:0], nil
 	// Reserve the arena once: no segment holds more frames than its
 	// bytes allow, and the cap keeps a selective query over a huge
@@ -191,7 +201,10 @@ func (p *ParallelIterator) Next() bool {
 				p.done = true
 				return false
 			}
-			p.pool.Put(p.cur)
+			select {
+			case p.free <- p.cur:
+			default:
+			}
 			p.cur = nil
 			<-p.tokens // chunk consumed: admit another segment
 		}

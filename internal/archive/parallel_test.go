@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -263,7 +264,6 @@ func TestDecodeSegmentReservesArenaOnce(t *testing.T) {
 		t.Fatalf("OpenCatalog: %v", err)
 	}
 	p := &ParallelIterator{}
-	p.pool.New = func() any { return new(scanChunk) }
 	it := &Iterator{vehicles: make(map[string]string)}
 	for i, seg := range cat.segs {
 		ch := p.decodeSegment(it, seg)
@@ -278,5 +278,45 @@ func TestDecodeSegmentReservesArenaOnce(t *testing.T) {
 	huge.dataEnd = 1 << 30
 	if ch := p.decodeSegment(it, huge); cap(ch.frames) != maxReservedFrames {
 		t.Errorf("1 GiB segment reserved %d frames, want the cap %d", cap(ch.frames), maxReservedFrames)
+	}
+}
+
+// TestParallelIterReleasesArenasOnClose pins that a finished iterator
+// keeps no chunk arena alive: one collection after Close frees them.
+// Chunks recycled through a sync.Pool would survive that collection in
+// the runtime's pool registry, so a process running many short scans
+// between collections held every scan's arenas at once.
+func TestParallelIterReleasesArenasOnClose(t *testing.T) {
+	dir := t.TempDir()
+	buildInterleavedArchive(t, dir, 4, 4)
+	cat, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatalf("OpenCatalog: %v", err)
+	}
+	freed := make(chan struct{}, 64)
+	chunks := 0
+	func() {
+		p := cat.ParallelIter(Query{}, ScanOptions{Workers: 2})
+		defer p.Close()
+		seen := make(map[*scanChunk]bool) // chunks recycle within a scan
+		for p.Next() {
+			if !seen[p.cur] {
+				seen[p.cur] = true
+				chunks++
+				runtime.SetFinalizer(p.cur, func(*scanChunk) { freed <- struct{}{} })
+			}
+		}
+		if err := p.Err(); err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+	}()
+	if chunks < 2 {
+		t.Fatalf("scan used %d chunks; the archive should span several segments", chunks)
+	}
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no chunk arena was freed by the first collection after Close")
 	}
 }

@@ -22,8 +22,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"cpsmon/internal/can"
@@ -160,29 +158,19 @@ type Config struct {
 	// Triage maps rule names to triage thresholds. Rules without an
 	// entry classify every violation as real.
 	Triage map[string]Triage
-	// EvalParallelism bounds how many rules CheckGrid evaluates
-	// concurrently. Rules are independent over a read-only grid, so
-	// the report is identical at any level; 0 means GOMAXPROCS, 1
-	// forces sequential evaluation.
-	EvalParallelism int
 }
 
 // Monitor is a bolt-on passive test oracle.
 //
 // A Monitor is safe for concurrent use: CheckTrace/CheckGrid/CheckLog
 // may run from many goroutines over one instance (the campaign drivers
-// and the recheck shards do), and each call may itself fan rules out
-// over a worker pool per Config.EvalParallelism.
+// and the recheck shards do). Each call runs its own stream checker,
+// the one evaluator behind every entry point.
 type Monitor struct {
 	rules  *speclang.RuleSet
 	period time.Duration
 	mode   speclang.DeltaMode
 	triage map[string]Triage
-	par    int
-
-	// scratch pools speclang evaluation buffers per worker; see
-	// speclang.Scratch for the lifetime contract.
-	scratch sync.Pool
 }
 
 // New builds a monitor from the configuration.
@@ -199,18 +187,12 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.Triage == nil {
 		cfg.Triage = make(map[string]Triage)
 	}
-	if cfg.EvalParallelism < 0 {
-		return nil, fmt.Errorf("core: negative eval parallelism %d", cfg.EvalParallelism)
-	}
-	m := &Monitor{
+	return &Monitor{
 		rules:  cfg.Rules,
 		period: cfg.Period,
 		mode:   cfg.DeltaMode,
 		triage: cfg.Triage,
-		par:    cfg.EvalParallelism,
-	}
-	m.scratch.New = func() any { return speclang.NewScratch() }
-	return m, nil
+	}, nil
 }
 
 // RuleReport is the oracle outcome for one rule over one trace.
@@ -305,59 +287,59 @@ func (m *Monitor) CheckTrace(tr *trace.Trace) (*Report, error) {
 	return m.CheckGrid(grid)
 }
 
-// CheckGrid evaluates every rule over an already-aligned grid. Rules
-// are independent, so with Config.EvalParallelism above one they are
-// fanned over a worker pool; results are assembled in rule-set order
-// (and errors surfaced in rule-set order), so the report is identical
-// at any parallelism level.
+// CheckGrid evaluates every rule over an already-aligned grid, stepping
+// the rule set's stream checker through it row by row.
 func (m *Monitor) CheckGrid(grid *trace.Grid) (*Report, error) {
-	rules := m.rules.Rules()
-	workers := m.par
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	results, err := m.rules.Eval(grid, speclang.EvalOptions{DeltaMode: m.mode})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if workers > len(rules) {
-		workers = len(rules)
-	}
+	return m.report(results, grid.NumSteps(), grid.StepPeriod()), nil
+}
 
-	results := make([]speclang.RuleResult, len(rules))
-	errs := make([]error, len(rules))
-	if workers <= 1 {
-		scr := m.scratch.Get().(*speclang.Scratch)
-		for i, r := range rules {
-			results[i], errs[i] = r.Eval(grid, speclang.EvalOptions{DeltaMode: m.mode, Scratch: scr})
-			if errs[i] != nil {
-				break
+// CheckLog evaluates every rule over a CAN frame log decoded with the
+// signal database. This is the complete bolt-on pipeline: bus capture
+// in, verdicts out. The log is replayed through an online session, so
+// the offline report comes from the same decode path and evaluator as a
+// live one; its steps are the grid steps trace.Align would produce.
+func (m *Monitor) CheckLog(log *can.Log, db *sigdb.DB) (*Report, error) {
+	o, err := m.Online(db)
+	if err != nil {
+		return nil, err
+	}
+	index := make(map[string]int)
+	for i, name := range m.RuleNames() {
+		index[name] = i
+	}
+	violations := make([][]speclang.Violation, len(index))
+	collect := func(events []OnlineEvent) {
+		for _, e := range events {
+			if e.Kind == speclang.ViolationEnd {
+				i := index[e.Rule]
+				violations[i] = append(violations[i], e.Violation)
 			}
 		}
-		m.scratch.Put(scr)
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scr := m.scratch.Get().(*speclang.Scratch)
-				defer m.scratch.Put(scr)
-				for i := range next {
-					results[i], errs[i] = rules[i].Eval(grid, speclang.EvalOptions{DeltaMode: m.mode, Scratch: scr})
-				}
-			}()
-		}
-		for i := range rules {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	// A can.Log refuses out-of-order appends, so no frame is skipped.
+	events, _, err := o.PushFrames(log.Frames())
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	collect(events)
+	if events, err = o.Close(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	collect(events)
+	results := o.sc.Summary()
+	for i := range results {
+		results[i].Violations = violations[i]
+	}
+	return m.report(results, o.pending, m.period), nil
+}
 
-	rep := &Report{Steps: grid.NumSteps(), Period: grid.StepPeriod()}
+// report triages each rule's violations and assembles the report.
+func (m *Monitor) report(results []speclang.RuleResult, steps int, period time.Duration) *Report {
+	rep := &Report{Steps: steps, Period: period}
 	for _, res := range results {
 		rr := RuleReport{Result: res, Verdict: Satisfied}
 		if res.Violated() {
@@ -370,16 +352,5 @@ func (m *Monitor) CheckGrid(grid *trace.Grid) (*Report, error) {
 		}
 		rep.Rules = append(rep.Rules, rr)
 	}
-	return rep, nil
-}
-
-// CheckLog decodes a CAN frame log with the signal database and
-// evaluates every rule over it. This is the complete bolt-on pipeline:
-// bus capture in, verdicts out.
-func (m *Monitor) CheckLog(log *can.Log, db *sigdb.DB) (*Report, error) {
-	tr, err := trace.FromCANLog(log, db)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return m.CheckTrace(tr)
+	return rep
 }

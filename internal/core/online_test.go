@@ -8,6 +8,7 @@ import (
 	"cpsmon/internal/can"
 	"cpsmon/internal/sigdb"
 	"cpsmon/internal/speclang"
+	"cpsmon/internal/trace"
 )
 
 // buildLog broadcasts the given per-tick setter over the vehicle bus
@@ -63,12 +64,19 @@ func onlineViolations(t *testing.T, m *Monitor, log *can.Log) map[string][]Onlin
 }
 
 // requireOnlineOfflineMatch asserts that the streaming monitor
-// reproduces CheckLog exactly, including triage classes.
+// reproduces the offline check exactly, including triage classes. The
+// offline side is CheckTrace over the decoded log, not CheckLog: CheckLog
+// replays frames through an online session itself, while CheckTrace
+// still assigns frames to steps independently, through trace.Align.
 func requireOnlineOfflineMatch(t *testing.T, m *Monitor, log *can.Log) {
 	t.Helper()
-	offline, err := m.CheckLog(log, sigdb.Vehicle())
+	tr, err := trace.FromCANLog(log, sigdb.Vehicle())
 	if err != nil {
-		t.Fatalf("CheckLog: %v", err)
+		t.Fatalf("FromCANLog: %v", err)
+	}
+	offline, err := m.CheckTrace(tr)
+	if err != nil {
+		t.Fatalf("CheckTrace: %v", err)
 	}
 	online := onlineViolations(t, m, log)
 	for _, rr := range offline.Rules {

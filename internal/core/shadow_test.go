@@ -43,7 +43,7 @@ func relaxedMonitor(t *testing.T) *core.Monitor {
 // is exactly zero.
 func TestShadowIdenticalSpecNeverDiverges(t *testing.T) {
 	db := sigdb.Vehicle()
-	frames := parallelFixtureLog(t, 1500).Frames()
+	frames := fixtureLog(t, 1500).Frames()
 
 	primary, err := strictMonitor(t).Online(db)
 	if err != nil {
@@ -200,7 +200,7 @@ func TestShadowStrictVsRelaxedDiverges(t *testing.T) {
 // rather than a double-close of the surrendered monitor.
 func TestShadowPromoteTransfersOwnership(t *testing.T) {
 	db := sigdb.Vehicle()
-	frames := parallelFixtureLog(t, 800).Frames()
+	frames := fixtureLog(t, 800).Frames()
 
 	shadow, err := strictMonitor(t).Shadow(db)
 	if err != nil {

@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -573,5 +576,38 @@ func TestShutdownTwice(t *testing.T) {
 	}
 	if err := s.Shutdown(ctx); err == nil {
 		t.Fatal("second Shutdown accepted")
+	}
+}
+
+// TestResumeUnknownTokenRefusedUnlessStopping pins how a server answers
+// a resume for a token it does not hold: a running server refuses it,
+// a terminal error for the client; a server that has begun shutting
+// down drops the connection instead, because under a ledger the next
+// process restores the session and the client must retry against it.
+func TestResumeUnknownTokenRefusedUnlessStopping(t *testing.T) {
+	s, err := NewServer(Config{DB: sigdb.Vehicle(), Resolve: testResolver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func() (wire.Record, error) {
+		client, server := net.Pipe()
+		defer client.Close()
+		go s.handleResume(server, bufio.NewReader(server), wire.Resume{Version: wire.Version, Token: 42})
+		client.SetReadDeadline(time.Now().Add(5 * time.Second))
+		return wire.Read(bufio.NewReader(client))
+	}
+	rec, err := resume()
+	if _, ok := rec.(wire.Error); err != nil || !ok {
+		t.Fatalf("running server answered %T (err %v), want a refusal", rec, err)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rec, err = resume()
+	if err == nil {
+		t.Fatalf("stopping server answered %T %+v, want a dropped connection", rec, rec)
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("stopping server neither answered nor dropped the connection")
 	}
 }

@@ -812,6 +812,13 @@ func (s *Server) handleResume(conn net.Conn, br *bufio.Reader, res wire.Resume) 
 	}
 	sess := s.claim(res.Token)
 	if sess == nil {
+		if s.closed.Load() {
+			// A stopping server cannot vouch that the token is unknown:
+			// under a ledger its successor process restores the session.
+			// Drop the connection so the client retries, not gives up.
+			conn.Close()
+			return
+		}
 		s.refuse(conn, "unknown or expired session token")
 		return
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // Source provides the aligned, zero-order-hold view of a recorded trace
-// that rules are evaluated over. trace.Grid satisfies it via a thin
-// adapter in the monitor engine.
+// that RuleSet.Eval steps the rules through, row by row. trace.Grid
+// satisfies it.
 type Source interface {
 	// NumSteps returns the number of evaluation steps.
 	NumSteps() int
@@ -41,11 +41,6 @@ const (
 type EvalOptions struct {
 	// DeltaMode selects multi-rate difference semantics.
 	DeltaMode DeltaMode
-	// Scratch, when non-nil, supplies reusable evaluation buffers so
-	// repeated evaluations stop allocating one slab per expression
-	// node. See the lifetime and concurrency contract on Scratch; the
-	// evaluation result never references scratch memory.
-	Scratch *Scratch
 }
 
 // Violation is one contiguous interval of rule violation.
@@ -107,326 +102,72 @@ func (r RuleResult) ActivationRatio() float64 {
 // paper's Table I; otherwise "S").
 func (r RuleResult) Violated() bool { return len(r.Violations) > 0 }
 
-// Eval runs every rule in the set over the source.
+// Eval runs every rule in the set over the source by stepping a
+// StreamChecker through it row by row: the rules' signals are read from
+// the source, and the closed violations are gathered per rule beside
+// the checker's step accounting. A signal a rule references but the
+// source lacks is an error.
 func (rs *RuleSet) Eval(src Source, opts EvalOptions) ([]RuleResult, error) {
-	out := make([]RuleResult, 0, len(rs.rules))
+	universe := rs.SignalUniverse()
+	seen := make(map[string]bool)
+	var names []string
 	for _, r := range rs.rules {
-		res, err := r.Eval(src, opts)
+		for _, name := range r.Signals(universe) {
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
+		}
+	}
+	cols := make([][]float64, len(names))
+	fresh := make([][]bool, len(names))
+	for i, name := range names {
+		v, ok := src.Values(name)
+		u, uok := src.Updated(name)
+		if !ok || !uok {
+			return nil, fmt.Errorf("speclang: signal %q is not present in the trace", name)
+		}
+		cols[i], fresh[i] = v, u
+	}
+	sc, err := rs.NewStreamChecker(names, src.StepPeriod(), opts)
+	if err != nil {
+		return nil, err
+	}
+	index := make(map[string]int, len(rs.rules))
+	for i, r := range rs.rules {
+		index[r.Name] = i
+	}
+	violations := make([][]Violation, len(rs.rules))
+	collect := func(events []Event) {
+		for _, e := range events {
+			if e.Kind == ViolationEnd {
+				i := index[e.Rule]
+				violations[i] = append(violations[i], e.Violation)
+			}
+		}
+	}
+	vals := make([]float64, len(names))
+	upd := make([]bool, len(names))
+	for t := 0; t < src.NumSteps(); t++ {
+		for i := range names {
+			vals[i], upd[i] = cols[i][t], fresh[i][t]
+		}
+		events, err := sc.Step(vals, upd)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, res)
+		collect(events)
+	}
+	events, err := sc.Finish()
+	if err != nil {
+		return nil, err
+	}
+	collect(events)
+	out := sc.Summary()
+	for i := range out {
+		out[i].Violations = violations[i]
 	}
 	return out, nil
-}
-
-// Eval runs one rule over the source.
-func (r *Rule) Eval(src Source, opts EvalOptions) (RuleResult, error) {
-	ev := &evaluator{
-		src:    src,
-		n:      src.NumSteps(),
-		period: src.StepPeriod(),
-		mode:   opts.DeltaMode,
-		consts: r.consts,
-		lets:   make(map[string]*series),
-		scr:    opts.Scratch,
-	}
-	if ev.scr != nil {
-		ev.scr.begin(ev.n)
-	}
-	res := RuleResult{Name: r.Name, Description: r.Description, StepsChecked: ev.n}
-
-	var lets []Let
-	var warmups []Warmup
-	var severity Expr
-	if r.Kind == KindSpec {
-		lets, warmups, severity = r.spec.Lets, r.spec.Warmups, r.spec.Severity
-	} else {
-		lets, warmups, severity = r.monitor.Lets, r.monitor.Warmups, r.monitor.Severity
-	}
-	for _, l := range lets {
-		s, err := ev.eval(l.X)
-		if err != nil {
-			return res, err
-		}
-		ev.lets[l.Name] = s
-	}
-	suppressed, err := ev.warmupMask(warmups)
-	if err != nil {
-		return res, err
-	}
-	for _, s := range suppressed {
-		if s {
-			res.StepsSuppressed++
-		}
-	}
-	var sev []float64
-	if severity != nil {
-		s, err := ev.eval(severity)
-		if err != nil {
-			return res, err
-		}
-		sev = s.vals
-	}
-
-	var violating []string // per step: violation message, "" if none
-	var active []bool      // per step: the rule was exercised
-	if r.Kind == KindSpec {
-		violating, active, err = ev.evalSpec(r.spec)
-	} else {
-		violating, active, err = ev.evalMonitor(r.monitor, r.initial)
-	}
-	if err != nil {
-		return res, err
-	}
-	for _, a := range active {
-		if a {
-			res.ActivationSteps++
-		}
-	}
-	res.Violations = mergeViolations(violating, suppressed, sev, ev.period)
-	return res, nil
-}
-
-// evalSpec marks every step where some assert clause is false, and
-// every step where some assert was exercised (its top-level antecedent
-// held; an assert that is not an implication exercises every step).
-func (ev *evaluator) evalSpec(s *Spec) ([]string, []bool, error) {
-	marks := make([]string, ev.n)
-	active := ev.newBools()
-	for i, a := range s.Asserts {
-		vals, err := ev.eval(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		line, _ := a.Pos()
-		msg := fmt.Sprintf("assert #%d (line %d) failed", i+1, line)
-		for t := 0; t < ev.n; t++ {
-			if marks[t] == "" && !truthy(vals.vals[t]) {
-				marks[t] = msg
-			}
-		}
-		if impl, ok := a.(*Binary); ok && impl.Op == tokArrow {
-			ante, err := ev.eval(impl.L)
-			if err != nil {
-				return nil, nil, err
-			}
-			for t := 0; t < ev.n; t++ {
-				if truthy(ante.vals[t]) {
-					active[t] = true
-				}
-			}
-		} else {
-			for t := range active {
-				active[t] = true
-			}
-		}
-	}
-	return marks, active, nil
-}
-
-// evalMonitor runs the state machine sequentially over the trace. A
-// step is "active" when the machine is outside its initial state.
-func (ev *evaluator) evalMonitor(m *Monitor, initial int) ([]string, []bool, error) {
-	marks := make([]string, ev.n)
-	active := ev.newBools()
-	states := make(map[string]int, len(m.States))
-	for i, st := range m.States {
-		states[st.Name] = i
-	}
-	// Pre-evaluate every guard.
-	type compiledTrans struct {
-		tr    *Transition
-		guard *series // nil for after-transitions
-	}
-	compiled := make([][]compiledTrans, len(m.States))
-	for i := range m.States {
-		st := &m.States[i]
-		for j := range st.Transitions {
-			tr := &st.Transitions[j]
-			ct := compiledTrans{tr: tr}
-			if tr.Kind == TransWhen {
-				g, err := ev.eval(tr.Guard)
-				if err != nil {
-					return nil, nil, err
-				}
-				ct.guard = g
-			}
-			compiled[i] = append(compiled[i], ct)
-		}
-	}
-
-	cur := initial
-	entered := 0
-	for t := 0; t < ev.n; t++ {
-		active[t] = cur != initial
-		for _, ct := range compiled[cur] {
-			fire := false
-			switch ct.tr.Kind {
-			case TransWhen:
-				fire = truthy(ct.guard.vals[t])
-			case TransAfter:
-				dwell := time.Duration(t-entered) * ev.period
-				fire = dwell >= ct.tr.Deadline
-			}
-			if !fire {
-				continue
-			}
-			if ct.tr.Violate {
-				msg := ct.tr.Msg
-				if msg == "" {
-					msg = fmt.Sprintf("violation in state %s", m.States[cur].Name)
-				}
-				marks[t] = msg
-			}
-			if ct.tr.Target != "" {
-				next := states[ct.tr.Target]
-				if next != cur {
-					cur = next
-					entered = t + 1 // dwell counts from the next step
-				}
-			}
-			break // first firing transition per step wins
-		}
-		if cur != initial {
-			active[t] = true
-		}
-	}
-	return marks, active, nil
-}
-
-// warmupMask computes the suppressed-step mask from warmup clauses.
-func (ev *evaluator) warmupMask(ws []Warmup) ([]bool, error) {
-	mask := ev.newBools()
-	for _, w := range ws {
-		steps := int(w.Window / ev.period)
-		if steps < 1 {
-			steps = 1
-		}
-		if w.On == nil {
-			for t := 0; t < steps && t < ev.n; t++ {
-				mask[t] = true
-			}
-			continue
-		}
-		on, err := ev.eval(w.On)
-		if err != nil {
-			return nil, err
-		}
-		prev := false
-		for t := 0; t < ev.n; t++ {
-			cur := truthy(on.vals[t])
-			if cur && !prev {
-				for k := t; k < t+steps && k < ev.n; k++ {
-					mask[k] = true
-				}
-			}
-			prev = cur
-		}
-	}
-	return mask, nil
-}
-
-// mergeViolations groups consecutive violating (and unsuppressed) steps
-// into intervals and attaches peak severity.
-func mergeViolations(marks []string, suppressed []bool, sev []float64, period time.Duration) []Violation {
-	var out []Violation
-	openIdx := -1
-	var peak float64
-	var msg string
-	flush := func(end int) {
-		if openIdx < 0 {
-			return
-		}
-		out = append(out, Violation{
-			StartStep: openIdx,
-			EndStep:   end,
-			Start:     time.Duration(openIdx) * period,
-			End:       time.Duration(end) * period,
-			Peak:      peak,
-			Msg:       msg,
-		})
-		openIdx = -1
-		peak = 0
-		msg = ""
-	}
-	for t := range marks {
-		bad := marks[t] != "" && !suppressed[t]
-		if !bad {
-			flush(t)
-			continue
-		}
-		if openIdx < 0 {
-			openIdx = t
-			msg = marks[t]
-		}
-		if sev != nil {
-			a := math.Abs(sev[t])
-			if math.IsNaN(a) {
-				// An unverifiable severity is maximally suspicious:
-				// never let triage call it negligible.
-				a = math.Inf(1)
-			}
-			if a > peak {
-				peak = a
-			}
-		}
-	}
-	flush(len(marks))
-	return out
-}
-
-// series is an evaluated expression: a value per step plus the per-step
-// freshness (whether any constituent signal updated at that step).
-type series struct {
-	vals []float64
-	upd  []bool
-}
-
-type evaluator struct {
-	src    Source
-	n      int
-	period time.Duration
-	mode   DeltaMode
-	consts map[string]float64
-	lets   map[string]*series
-
-	// scr, when non-nil, recycles the per-step slabs below; nil falls
-	// back to plain allocation.
-	scr *Scratch
-
-	// noUpd is the shared all-false freshness vector carried by every
-	// constant series; constCache interns constant series by value.
-	// Evaluated series are read-only downstream, so sharing is safe and
-	// saves one n-sized allocation per literal and per literal-operand
-	// binary node.
-	noUpd      []bool
-	constCache map[float64]*series
-}
-
-// newFloats returns a zeroed per-step float64 vector, recycled through
-// the scratch when one is attached.
-func (ev *evaluator) newFloats() []float64 {
-	if ev.scr != nil {
-		return ev.scr.grabFloats()
-	}
-	return make([]float64, ev.n)
-}
-
-// newBools returns a zeroed per-step bool vector.
-func (ev *evaluator) newBools() []bool {
-	if ev.scr != nil {
-		return ev.scr.grabBools()
-	}
-	return make([]bool, ev.n)
-}
-
-// newInts returns a zeroed vector of n+1 ints for prefix sums.
-func (ev *evaluator) newInts() []int {
-	if ev.scr != nil {
-		return ev.scr.grabInts()
-	}
-	return make([]int, ev.n+1)
 }
 
 func truthy(v float64) bool {
@@ -438,355 +179,4 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-func (ev *evaluator) noUpdates() []bool {
-	if ev.noUpd == nil {
-		ev.noUpd = ev.newBools()
-	}
-	return ev.noUpd
-}
-
-func (ev *evaluator) constant(v float64) *series {
-	if s, ok := ev.constCache[v]; ok {
-		return s
-	}
-	vals := ev.newFloats()
-	for i := range vals {
-		vals[i] = v
-	}
-	s := &series{vals: vals, upd: ev.noUpdates()}
-	if ev.constCache == nil {
-		ev.constCache = make(map[float64]*series)
-	}
-	ev.constCache[v] = s
-	return s
-}
-
-// isNoUpd reports whether s is the shared all-false freshness vector.
-func (ev *evaluator) isNoUpd(s []bool) bool {
-	return len(s) > 0 && len(ev.noUpd) > 0 && &s[0] == &ev.noUpd[0]
-}
-
-// orBits combines two freshness vectors; when one side is the shared
-// all-false vector the other is returned as-is (freshness vectors are
-// never written after evaluation).
-func (ev *evaluator) orBits(a, b []bool) []bool {
-	if ev.isNoUpd(b) {
-		return a
-	}
-	if ev.isNoUpd(a) {
-		return b
-	}
-	out := ev.newBools()
-	for i := range a {
-		out[i] = a[i] || b[i]
-	}
-	return out
-}
-
-// eval evaluates an expression into a per-step series.
-func (ev *evaluator) eval(e Expr) (*series, error) {
-	switch x := e.(type) {
-	case *NumberLit:
-		return ev.constant(x.Value), nil
-	case *BoolLit:
-		return ev.constant(b2f(x.Value)), nil
-	case *Ident:
-		if s, ok := ev.lets[x.Name]; ok {
-			return s, nil
-		}
-		if v, ok := ev.consts[x.Name]; ok {
-			return ev.constant(v), nil
-		}
-		vals, ok := ev.src.Values(x.Name)
-		if !ok {
-			line, col := x.Pos()
-			return nil, errAt(line, col, "signal %q is not present in the trace", x.Name)
-		}
-		upd, _ := ev.src.Updated(x.Name)
-		return &series{vals: vals, upd: upd}, nil
-	case *Unary:
-		s, err := ev.eval(x.X)
-		if err != nil {
-			return nil, err
-		}
-		out := ev.newFloats()
-		if x.Op == tokNot {
-			for i, v := range s.vals {
-				out[i] = b2f(!truthy(v))
-			}
-		} else {
-			for i, v := range s.vals {
-				out[i] = -v
-			}
-		}
-		return &series{vals: out, upd: s.upd}, nil
-	case *Binary:
-		return ev.evalBinary(x)
-	case *Call:
-		return ev.evalCall(x)
-	case *Temporal:
-		return ev.evalTemporal(x)
-	default:
-		return nil, fmt.Errorf("speclang: internal error: unknown expression node %T", e)
-	}
-}
-
-func (ev *evaluator) evalBinary(x *Binary) (*series, error) {
-	l, err := ev.eval(x.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ev.eval(x.R)
-	if err != nil {
-		return nil, err
-	}
-	out := ev.newFloats()
-	lv, rv := l.vals, r.vals
-	switch x.Op {
-	case tokPlus:
-		for i := range out {
-			out[i] = lv[i] + rv[i]
-		}
-	case tokMinus:
-		for i := range out {
-			out[i] = lv[i] - rv[i]
-		}
-	case tokStar:
-		for i := range out {
-			out[i] = lv[i] * rv[i]
-		}
-	case tokSlash:
-		for i := range out {
-			out[i] = lv[i] / rv[i]
-		}
-	case tokAnd:
-		for i := range out {
-			out[i] = b2f(truthy(lv[i]) && truthy(rv[i]))
-		}
-	case tokOr:
-		for i := range out {
-			out[i] = b2f(truthy(lv[i]) || truthy(rv[i]))
-		}
-	case tokArrow:
-		for i := range out {
-			out[i] = b2f(!truthy(lv[i]) || truthy(rv[i]))
-		}
-	case tokLT, tokLE, tokGT, tokGE, tokEQ, tokNE:
-		for i := range out {
-			a, b := lv[i], rv[i]
-			if math.IsNaN(a) || math.IsNaN(b) {
-				// Comparisons involving NaN are false: an unverifiable
-				// claim does not hold.
-				out[i] = 0
-				continue
-			}
-			var ok bool
-			switch x.Op {
-			case tokLT:
-				ok = a < b
-			case tokLE:
-				ok = a <= b
-			case tokGT:
-				ok = a > b
-			case tokGE:
-				ok = a >= b
-			case tokEQ:
-				ok = a == b
-			case tokNE:
-				ok = a != b
-			}
-			out[i] = b2f(ok)
-		}
-	default:
-		return nil, fmt.Errorf("speclang: internal error: unknown binary op %v", x.Op)
-	}
-	return &series{vals: out, upd: ev.orBits(l.upd, r.upd)}, nil
-}
-
-func (ev *evaluator) evalCall(x *Call) (*series, error) {
-	args := make([]*series, len(x.Args))
-	for i, a := range x.Args {
-		s, err := ev.eval(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = s
-	}
-	out := ev.newFloats()
-	switch x.Func {
-	case "prev":
-		prevVals, _ := ev.prevOf(args[0])
-		return &series{vals: prevVals, upd: args[0].upd}, nil
-	case "delta":
-		prevVals, _ := ev.prevOf(args[0])
-		for i := range out {
-			out[i] = args[0].vals[i] - prevVals[i]
-		}
-	case "rate":
-		prevVals, gaps := ev.prevOf(args[0])
-		for i := range out {
-			out[i] = (args[0].vals[i] - prevVals[i]) / gaps[i]
-		}
-	case "changed":
-		prevVals, _ := ev.prevOf(args[0])
-		for i := range out {
-			d := args[0].vals[i] - prevVals[i]
-			out[i] = b2f(!math.IsNaN(d) && d != 0)
-		}
-	case "rise":
-		for i := range out {
-			cur := truthy(args[0].vals[i])
-			was := i > 0 && truthy(args[0].vals[i-1])
-			out[i] = b2f(cur && !was)
-		}
-	case "fall":
-		for i := range out {
-			cur := truthy(args[0].vals[i])
-			was := i > 0 && truthy(args[0].vals[i-1])
-			out[i] = b2f(!cur && was)
-		}
-	case "updated":
-		for i := range out {
-			out[i] = b2f(args[0].upd[i])
-		}
-	case "valid":
-		for i, v := range args[0].vals {
-			out[i] = b2f(!math.IsNaN(v) && !math.IsInf(v, 0))
-		}
-	case "abs":
-		for i, v := range args[0].vals {
-			out[i] = math.Abs(v)
-		}
-	case "min":
-		for i := range out {
-			out[i] = math.Min(args[0].vals[i], args[1].vals[i])
-		}
-	case "max":
-		for i := range out {
-			out[i] = math.Max(args[0].vals[i], args[1].vals[i])
-		}
-	case "cond":
-		for i := range out {
-			if truthy(args[0].vals[i]) {
-				out[i] = args[1].vals[i]
-			} else {
-				out[i] = args[2].vals[i]
-			}
-		}
-	default:
-		return nil, fmt.Errorf("speclang: internal error: unknown builtin %q", x.Func)
-	}
-	upd := args[0].upd
-	for _, a := range args[1:] {
-		upd = ev.orBits(upd, a.upd)
-	}
-	return &series{vals: out, upd: upd}, nil
-}
-
-// prevOf returns, per step, the previous value of the series and the
-// elapsed time (in seconds) between that value and the current one,
-// according to the configured delta mode.
-//
-// Under DeltaNaive the previous value is simply the prior step's value.
-// Under DeltaUpdateAware it is the value at the update *before* the one
-// currently held — so during held steps of a slow signal, prev keeps
-// pointing one update back and delta exposes the inter-update trend
-// instead of reading as zero.
-func (ev *evaluator) prevOf(s *series) (prevVals, gapSeconds []float64) {
-	prevVals = ev.newFloats()
-	gapSeconds = ev.newFloats()
-	period := ev.period.Seconds()
-	if ev.mode == DeltaNaive {
-		for i := range prevVals {
-			if i == 0 {
-				prevVals[i] = math.NaN()
-			} else {
-				prevVals[i] = s.vals[i-1]
-			}
-			gapSeconds[i] = period
-		}
-		return prevVals, gapSeconds
-	}
-	prevUpd := math.NaN()
-	prevStep := -1
-	curVal := math.NaN()
-	curStep := -1
-	for i := 0; i < ev.n; i++ {
-		if s.upd[i] {
-			prevUpd, prevStep = curVal, curStep
-			curVal, curStep = s.vals[i], i
-		}
-		prevVals[i] = prevUpd
-		if prevStep >= 0 && curStep > prevStep {
-			gapSeconds[i] = float64(curStep-prevStep) * period
-		} else {
-			gapSeconds[i] = period
-		}
-	}
-	return prevVals, gapSeconds
-}
-
-// evalTemporal evaluates a bounded temporal window. The future
-// operators (always/eventually) scan [t+lo, t+hi]; the past operators
-// (historically/once) scan [t-hi, t-lo].
-//
-// Truncation policy: when the window extends past the end of the trace
-// (future) or before its start (past), missing evidence is treated as
-// benign — the existential operators do not report a violation they
-// cannot confirm, and the universal ones fail only on a witnessed
-// falsification. This matches the partial-oracle philosophy: only
-// confirmed violations count.
-func (ev *evaluator) evalTemporal(x *Temporal) (*series, error) {
-	s, err := ev.eval(x.X)
-	if err != nil {
-		return nil, err
-	}
-	lo := int(x.Lo / ev.period)
-	hi := int(x.Hi / ev.period)
-	// Prefix sums of truthiness for O(1) window queries.
-	pref := ev.newInts()
-	for i := 0; i < ev.n; i++ {
-		pref[i+1] = pref[i]
-		if truthy(s.vals[i]) {
-			pref[i+1]++
-		}
-	}
-	exists := x.Op == "eventually" || x.Op == "once"
-	out := ev.newFloats()
-	for t := 0; t < ev.n; t++ {
-		var a, b int
-		var truncated bool
-		if x.Past() {
-			a, b = t-hi, t-lo
-			if a < 0 {
-				a = 0
-				truncated = true
-			}
-		} else {
-			a, b = t+lo, t+hi
-			if b > ev.n-1 {
-				b = ev.n - 1
-				truncated = true
-			}
-		}
-		if a > b {
-			// Window entirely outside the trace: no evidence.
-			out[t] = 1
-			continue
-		}
-		count := pref[b+1] - pref[a]
-		window := b - a + 1
-		if exists {
-			if count > 0 || truncated {
-				out[t] = 1
-			}
-		} else {
-			if count == window {
-				out[t] = 1
-			}
-		}
-	}
-	return &series{vals: out, upd: s.upd}, nil
 }

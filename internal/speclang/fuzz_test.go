@@ -2,7 +2,9 @@ package speclang
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
+	"time"
 )
 
 // FuzzParse exercises the lexer and parser with arbitrary input: they
@@ -101,4 +103,86 @@ func FuzzSpecParser(f *testing.F) {
 			t.Fatalf("formatted output does not recompile: %v\n--- input ---\n%q", err, src)
 		}
 	})
+}
+
+// FuzzStreamSemantics checks the compiled stream checker against the
+// reference semantics over random specs and random multi-rate traces,
+// in both delta modes: RuleSet.Eval must reproduce refEval's
+// violations, peaks and suppressed and activation counts. seed draws
+// the trace and, unless ruleSrc parses and compiles over x and a, a
+// random spec as well. A divergence is a stream-compiler bug; its
+// input belongs in testdata/fuzz/FuzzStreamSemantics once fixed.
+func FuzzStreamSemantics(f *testing.F) {
+	for i, src := range randomizedRules {
+		f.Add(int64(i), src)
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		f.Add(seed, "")
+	}
+	f.Fuzz(func(t *testing.T, seed int64, ruleSrc string) {
+		rng := rand.New(rand.NewSource(seed))
+		var rs *RuleSet
+		if file, err := Parse(ruleSrc); err == nil {
+			rs, _ = Compile(file, []string{"x", "a"})
+		}
+		if rs == nil {
+			ruleSrc = Format(randomSpec(rng))
+			file, err := Parse(ruleSrc)
+			if err != nil {
+				t.Fatalf("random spec does not parse: %v\n%s", err, ruleSrc)
+			}
+			if rs, err = Compile(file, []string{"x", "a"}); err != nil {
+				t.Fatalf("random spec does not compile: %v\n%s", err, ruleSrc)
+			}
+		}
+		src := randomSource(rng, 1+rng.Intn(120))
+		for _, mode := range []DeltaMode{DeltaNaive, DeltaUpdateAware} {
+			if err := checkEquivalent(rs, src, EvalOptions{DeltaMode: mode}); err != nil {
+				t.Fatalf("%v\n--- spec ---\n%s", err, ruleSrc)
+			}
+		}
+	})
+}
+
+// randomSpec builds a random rule file over the signals x and a: a spec
+// with one to three asserts, some of them implications, optional
+// warmups and severity, and a two-state monitor whose second state has
+// a random guard and a violating deadline.
+func randomSpec(rng *rand.Rand) *File {
+	expr := func() Expr { return randomExpr(rng, 1+rng.Intn(4), []string{"x", "a"}) }
+	warmups := func() []Warmup {
+		var ws []Warmup
+		for i := rng.Intn(3); i > 0; i-- {
+			w := Warmup{Window: time.Duration(1+rng.Intn(6)) * 10 * time.Millisecond}
+			if rng.Intn(2) == 0 {
+				w.On = expr()
+			}
+			ws = append(ws, w)
+		}
+		return ws
+	}
+	severity := func() Expr {
+		if rng.Intn(2) == 0 {
+			return expr()
+		}
+		return nil
+	}
+	spec := Spec{Name: "S", Warmups: warmups(), Severity: severity()}
+	for i := 1 + rng.Intn(3); i > 0; i-- {
+		a := expr()
+		if rng.Intn(2) == 0 {
+			a = &Binary{Op: tokArrow, L: expr(), R: a}
+		}
+		spec.Asserts = append(spec.Asserts, a)
+	}
+	mon := Monitor{Name: "M", Warmups: warmups(), Severity: severity(), States: []State{
+		{Name: "A", Initial: true, Transitions: []Transition{
+			{Kind: TransWhen, Guard: expr(), Violate: rng.Intn(3) == 0, Target: "B"},
+		}},
+		{Name: "B", Transitions: []Transition{
+			{Kind: TransWhen, Guard: expr(), Target: "A"},
+			{Kind: TransAfter, Deadline: time.Duration(1+rng.Intn(8)) * 10 * time.Millisecond, Violate: true, Msg: "stuck"},
+		}},
+	}}
+	return &File{Specs: []Spec{spec}, Monitors: []Monitor{mon}}
 }

@@ -6,14 +6,15 @@ import (
 	"time"
 )
 
-// This file implements incremental (online) rule evaluation. The paper
-// monitored offline "due to time and complexity constraints of the
-// experiments" but notes that "there is no fundamental reason the
-// monitoring could not be done at runtime"; this evaluator is that
-// runtime path. It consumes aligned steps one at a time, keeps only
-// bounded state (buffers no longer than the temporal horizon), and
-// produces exactly the same violations as the offline evaluator — a
-// property the test suite checks exhaustively.
+// This file implements rule evaluation, the one evaluator behind both
+// the offline and the online oracle. The paper monitored offline "due
+// to time and complexity constraints of the experiments" but notes that
+// "there is no fundamental reason the monitoring could not be done at
+// runtime"; this evaluator serves both: RuleSet.Eval feeds it the rows
+// of a recorded grid, the online monitor the steps of a live frame
+// stream. It consumes aligned steps one at a time and keeps only bounded
+// state (buffers no longer than the temporal horizon). The tests pin it
+// against the reference semantics in reference_test.go.
 //
 // Each rule compiles once into a program: a flat, topologically ordered
 // instruction slice over a float64/bool register file. Every register
@@ -28,8 +29,7 @@ import (
 // a deterministic function of its operands' step sequences. Nothing is
 // shared across rules, so per-rule timing stays exact. After the final
 // input step, Finish keeps stepping the programs with exhausted inputs,
-// draining them with the same truncated-window semantics as the offline
-// evaluator.
+// draining them with the reference's truncated-window semantics.
 
 // opcode selects what one instruction computes.
 type opcode uint8
@@ -115,9 +115,8 @@ type load struct {
 	src, dst int32
 }
 
-// histState is the memory of prev/delta/rate/changed, mirroring prevOf
-// in eval.go: the previous step under DeltaNaive, the previous update
-// under DeltaUpdateAware.
+// histState is the memory of prev/delta/rate/changed: the previous step
+// under DeltaNaive, the previous update under DeltaUpdateAware.
 type histState struct {
 	// naive
 	started bool
@@ -194,7 +193,7 @@ func (p *program) run(vals []float64, upd []bool, k, n int) {
 		case opImplies:
 			out = reg{b2f(!truthy(x.v) || truthy(y.v)), x.u || y.u}
 		// Go's ordered comparisons and == are already false on NaN,
-		// the offline evaluator's rule; only != needs the explicit test.
+		// the language's rule; only != needs the explicit test.
 		case opLT:
 			out = reg{b2f(x.v < y.v), x.u || y.u}
 		case opLE:
@@ -337,8 +336,8 @@ func (w *window) push(t, fresh bool) {
 // future returns the verdict for output step o, whose window is operand
 // steps [o+lo, o+hi]. Once the inputs are exhausted the window is
 // truncated at the last operand step; an empty or witness-free
-// truncated window is "no evidence", benign for both operators,
-// matching the offline evaluator.
+// truncated window is "no evidence", benign for both operators, as in
+// the reference semantics.
 func (w *window) future(o int, eventually bool) (float64, bool) {
 	fresh := w.fresh[o%len(w.fresh)]
 	if o+w.hi < w.seen { // complete window

@@ -1,88 +1,46 @@
 package speclang
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
 
-// runStream pushes a memSource through a StreamChecker and collects the
-// completed violations per rule.
-func runStream(t *testing.T, rs *RuleSet, src *memSource, opts EvalOptions) map[string][]Violation {
-	t.Helper()
-	names := make([]string, 0, len(src.vals))
-	for name := range src.vals {
-		names = append(names, name)
-	}
-	// Deterministic order.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	sc, err := rs.NewStreamChecker(names, src.StepPeriod(), opts)
-	if err != nil {
-		t.Fatalf("NewStreamChecker: %v", err)
-	}
-	out := make(map[string][]Violation)
-	collect := func(events []Event) {
-		for _, e := range events {
-			if e.Kind == ViolationEnd {
-				out[e.Rule] = append(out[e.Rule], e.Violation)
-			}
-		}
-	}
-	vals := make([]float64, len(names))
-	upd := make([]bool, len(names))
-	for step := 0; step < src.NumSteps(); step++ {
-		for i, name := range names {
-			vals[i] = src.vals[name][step]
-			upd[i] = src.upd[name][step]
-		}
-		events, err := sc.Step(vals, upd)
-		if err != nil {
-			t.Fatalf("Step: %v", err)
-		}
-		collect(events)
-	}
-	events, err := sc.Finish()
-	if err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	collect(events)
-	return out
-}
-
-// requireEquivalent checks that the online checker reproduces the
-// offline evaluator's violations exactly.
+// requireEquivalent checks that RuleSet.Eval, which runs the compiled
+// stream checker, reproduces the reference semantics exactly.
 func requireEquivalent(t *testing.T, ruleSrc string, src *memSource, opts EvalOptions, signals ...string) {
 	t.Helper()
-	rs := compileOne(t, ruleSrc, signals...)
-	offline, err := rs.Eval(src, opts)
+	if err := checkEquivalent(compileOne(t, ruleSrc, signals...), src, opts); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkEquivalent compares RuleSet.Eval with refEval rule by rule: the
+// same violations (bounds, times, messages and peaks, a NaN severity
+// peaking at +Inf in both) and the same checked, suppressed and
+// activation step counts.
+func checkEquivalent(rs *RuleSet, src Source, opts EvalOptions) error {
+	want, err := refEval(rs, src, opts)
 	if err != nil {
-		t.Fatalf("offline Eval: %v", err)
+		return fmt.Errorf("reference: %v", err)
 	}
-	online := runStream(t, rs, src, opts)
-	for _, res := range offline {
-		got := online[res.Name]
-		if len(got) != len(res.Violations) {
-			t.Fatalf("rule %s: online %d violations, offline %d\nonline:  %+v\noffline: %+v",
-				res.Name, len(got), len(res.Violations), got, res.Violations)
-		}
-		for i := range got {
-			want := res.Violations[i]
-			g := got[i]
-			if g.StartStep != want.StartStep || g.EndStep != want.EndStep || g.Msg != want.Msg {
-				t.Fatalf("rule %s violation %d: online %+v, offline %+v", res.Name, i, g, want)
-			}
-			if g.Peak != want.Peak && !(math.IsInf(g.Peak, 1) && math.IsInf(want.Peak, 1)) {
-				t.Fatalf("rule %s violation %d peak: online %v, offline %v", res.Name, i, g.Peak, want.Peak)
-			}
+	got, err := rs.Eval(src, opts)
+	if err != nil {
+		return fmt.Errorf("Eval: %v", err)
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("Eval returned %d rules, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			return fmt.Errorf("rule %s (delta mode %d) diverges from the reference\nstream:    %+v\nreference: %+v",
+				want[i].Name, opts.DeltaMode, got[i], want[i])
 		}
 	}
+	return nil
 }
 
 func TestStreamSimpleAssertEquivalence(t *testing.T) {
@@ -286,8 +244,8 @@ func TestStreamBuiltinsEquivalence(t *testing.T) {
 
 func TestStreamNestedTemporalEquivalence(t *testing.T) {
 	// Nested windows compose delays: the outer operator waits for the
-	// inner one's delayed outputs. The offline evaluator is the
-	// reference for the composed semantics.
+	// inner one's delayed outputs. The reference defines the composed
+	// semantics.
 	vals := []float64{0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 1}
 	src := newMemSource(10*time.Millisecond).add("x", vals...)
 	cases := []string{
@@ -348,36 +306,88 @@ func randomSource(rng *rand.Rand, n int) *memSource {
 	return newMemSource(10*time.Millisecond).addWithUpd("x", xv, xu).addWithUpd("a", av, au)
 }
 
-// TestStreamRandomizedEquivalence drives both evaluators over random
-// multi-rate traces with a grab-bag of rules covering every language
-// feature, requiring identical violations.
+// randomizedRules is a grab-bag of rules covering every language
+// feature; FuzzStreamSemantics seeds its corpus with them.
+var randomizedRules = []string{
+	`spec R1 { assert a -> x <= 0.5 }`,
+	`spec R2 { severity delta(x) assert delta(x) <= 0.3 }`,
+	`spec R3 { assert a -> eventually[0:50ms](x <= 0.2) }`,
+	`spec R4 { assert always[20ms:60ms](x <= 0.9) }`,
+	`spec R5 { warmup 40ms on rise(a) let d = delta(x) assert a -> d <= 0.4 }`,
+	`spec R6 { assert eventually[30ms:30ms](x > 0.1) }`,
+	`monitor M1 {
+		initial state N { when a && x < 0.3 => L }
+		state L { when !a || x >= 0.3 => N
+		          after 70ms => violate "low" }
+	}`,
+	`monitor M2 {
+		warmup 30ms
+		initial state A { when eventually[0:20ms](x > 0.8) => violate "spike" }
+	}`,
+	`spec R7 { assert always[0:30ms](eventually[0:20ms](x > 0.2)) || once[0:40ms](x > 0.9) }`,
+	`spec R8 { assert (eventually[0:30ms](x > 0.7)) -> historically[0:20ms](x > -1) }`,
+}
+
+// TestStreamRandomizedEquivalence drives the stream checker and the
+// reference over random multi-rate traces with randomizedRules,
+// requiring identical results.
 func TestStreamRandomizedEquivalence(t *testing.T) {
-	ruleSrcs := []string{
-		`spec R1 { assert a -> x <= 0.5 }`,
-		`spec R2 { severity delta(x) assert delta(x) <= 0.3 }`,
-		`spec R3 { assert a -> eventually[0:50ms](x <= 0.2) }`,
-		`spec R4 { assert always[20ms:60ms](x <= 0.9) }`,
-		`spec R5 { warmup 40ms on rise(a) let d = delta(x) assert a -> d <= 0.4 }`,
-		`spec R6 { assert eventually[30ms:30ms](x > 0.1) }`,
-		`monitor M1 {
-			initial state N { when a && x < 0.3 => L }
-			state L { when !a || x >= 0.3 => N
-			          after 70ms => violate "low" }
-		}`,
-		`monitor M2 {
-			warmup 30ms
-			initial state A { when eventually[0:20ms](x > 0.8) => violate "spike" }
-		}`,
-		`spec R7 { assert always[0:30ms](eventually[0:20ms](x > 0.2)) || once[0:40ms](x > 0.9) }`,
-		`spec R8 { assert (eventually[0:30ms](x > 0.7)) -> historically[0:20ms](x > -1) }`,
-	}
 	for _, mode := range []DeltaMode{DeltaNaive, DeltaUpdateAware} {
 		for seed := int64(0); seed < 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			src := randomSource(rng, 5+rng.Intn(120))
-			for _, ruleSrc := range ruleSrcs {
+			for _, ruleSrc := range randomizedRules {
 				requireEquivalent(t, ruleSrc, src, EvalOptions{DeltaMode: mode}, "x", "a")
 			}
+		}
+	}
+}
+
+// featureSource builds a fast velocity signal and a slow target_range
+// signal, updated every fifth step.
+func featureSource(n int) *memSource {
+	vel := make([]float64, n)
+	rng := make([]float64, n)
+	upd := make([]bool, n)
+	for i := 0; i < n; i++ {
+		vel[i] = float64(20 + (i % 40) - (i % 13))
+		rng[i] = float64(60 - (i % 55))
+		upd[i] = i%5 == 0
+	}
+	return newMemSource(10*time.Millisecond).add("velocity", vel...).addWithUpd("target_range", rng, upd)
+}
+
+// TestStreamFeatureSpecEquivalence runs one file using every evaluation
+// path at once (a const, a let, both warmup kinds, severity, an
+// implication with a temporal consequent, and a monitor with a
+// deadline) over traces of several lengths, in both delta modes.
+func TestStreamFeatureSpecEquivalence(t *testing.T) {
+	const spec = `
+const floor = 8.0
+
+spec RangeFloor "range stays above a moving floor" {
+  let gap = target_range - floor
+  warmup 100ms
+  warmup 50ms on changed(velocity)
+  severity gap
+  assert velocity > 5 -> always[0ms:50ms](gap > -40)
+  assert eventually[0ms:200ms](target_range > 10)
+}
+
+monitor Closing "closing gaps must reopen" {
+  warmup 100ms
+  initial state Idle {
+    when delta(target_range) < -3 => InClose
+  }
+  state InClose {
+    when target_range > 50 => Idle
+    after 300ms => violate "stuck closing"
+  }
+}
+`
+	for _, n := range []int{500, 211, 7} {
+		for _, mode := range []DeltaMode{DeltaUpdateAware, DeltaNaive} {
+			requireEquivalent(t, spec, featureSource(n), EvalOptions{DeltaMode: mode}, "velocity", "target_range")
 		}
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// StreamChecker evaluates a compiled rule set online: aligned steps are
-// pushed one at a time and violation events come back with a delay
-// bounded by each rule's temporal horizon. It produces exactly the
-// violations the offline Eval produces over the same step sequence.
+// StreamChecker evaluates a compiled rule set: aligned steps are pushed
+// one at a time and violation events come back with a delay bounded by
+// each rule's temporal horizon. It is the only rule evaluator: RuleSet.Eval
+// drives it over the rows of a recorded source, and the online monitor
+// over the steps of a live frame stream.
 type StreamChecker struct {
 	period time.Duration
 	names  []string
@@ -115,6 +116,25 @@ func (sc *StreamChecker) checkStep(vals []float64, upd []bool) error {
 		return fmt.Errorf("speclang: step carries %d/%d entries, want %d", len(vals), len(upd), len(sc.names))
 	}
 	return nil
+}
+
+// Summary returns each rule's step accounting in rule-set order: name,
+// description, steps checked, steps suppressed by warmups, and
+// activation steps. Violations stay nil; they arrive as ViolationEnd
+// events. The counts cover every step once Finish has returned; before
+// that they cover only the steps already decided.
+func (sc *StreamChecker) Summary() []RuleResult {
+	out := make([]RuleResult, len(sc.rules))
+	for i, r := range sc.rules {
+		out[i] = RuleResult{
+			Name:            r.rule.Name,
+			Description:     r.rule.Description,
+			StepsChecked:    sc.steps,
+			StepsSuppressed: r.suppressed,
+			ActivationSteps: r.active,
+		}
+	}
+	return out
 }
 
 // Finish drains every rule's pipeline, closes open violations at the

@@ -43,11 +43,20 @@ type ruleStream struct {
 	// Specs: one register and message per assert clause.
 	asserts []int32
 	msgs    []string
+	// Spec activation: every step when some assert is not an
+	// implication (everyAssertActive), otherwise the steps where some
+	// implication's antecedent register is truthy.
+	antes             []int32
+	everyAssertActive bool
 	// Monitors: the state machine consumes the guard registers.
 	machine *machine
 
 	severity int32 // -1 when the rule has none
 	warmups  []warmup
+
+	// Per decided output step: how many were masked by a warmup, and
+	// how many exercised the rule (see RuleResult.ActivationSteps).
+	suppressed, active int
 
 	// open violation state
 	open      bool
@@ -90,6 +99,7 @@ type machine struct {
 	fallbackMsg []string
 	period      time.Duration
 
+	initial int
 	cur     int
 	entered int
 }
@@ -105,6 +115,7 @@ func newMachine(c *compiler, m *Monitor, initial int, period time.Duration) (*ma
 		targets:     make([][]int, len(m.States)),
 		fallbackMsg: make([]string, len(m.States)),
 		period:      period,
+		initial:     initial,
 		cur:         initial,
 	}
 	for i := range m.States {
@@ -184,6 +195,20 @@ func newRuleStream(r *Rule, signals map[string]int, period time.Duration, opts E
 			line, _ := a.Pos()
 			rs.asserts = append(rs.asserts, reg)
 			rs.msgs = append(rs.msgs, fmt.Sprintf("assert #%d (line %d) failed", i+1, line))
+			// The antecedent was compiled as the implication's operand,
+			// so building it again returns that shared register.
+			if impl, ok := a.(*Binary); ok && impl.Op == tokArrow {
+				ante, err := c.build(impl.L)
+				if err != nil {
+					return nil, err
+				}
+				rs.antes = append(rs.antes, ante)
+			} else {
+				rs.everyAssertActive = true
+			}
+		}
+		if rs.everyAssertActive {
+			rs.antes = nil // every step is active; no register to read
 		}
 	} else {
 		ms, err := newMachine(c, r.monitor, r.initial, period)
@@ -232,6 +257,9 @@ func (rs *ruleStream) roots() []*int32 {
 	for i := range rs.asserts {
 		out = append(out, &rs.asserts[i])
 	}
+	for i := range rs.antes {
+		out = append(out, &rs.antes[i])
+	}
 	if rs.machine != nil {
 		for _, gs := range rs.machine.guards {
 			for j := range gs {
@@ -277,18 +305,35 @@ func (rs *ruleStream) finish(n int, events []Event) []Event {
 	return events
 }
 
-// decide assembles output step t from the aligned root registers and
-// maintains the open-violation state, appending decided events.
+// decide assembles output step t from the aligned root registers,
+// counts it, and maintains the open-violation state, appending decided
+// events.
 func (rs *ruleStream) decide(t int, events []Event) []Event {
 	regs := rs.prog.regs
 	mark := ""
-	if rs.machine != nil {
-		mark = rs.machine.step(t, regs)
+	if ms := rs.machine; ms != nil {
+		// A monitor step is active when the machine is outside its
+		// initial state before or after the step's transition.
+		active := ms.cur != ms.initial
+		mark = ms.step(t, regs)
+		if active || ms.cur != ms.initial {
+			rs.active++
+		}
 	} else {
 		for i, reg := range rs.asserts {
 			if !truthy(regs[reg].v) {
 				mark = rs.msgs[i]
 				break
+			}
+		}
+		if rs.everyAssertActive {
+			rs.active++
+		} else {
+			for _, reg := range rs.antes {
+				if truthy(regs[reg].v) {
+					rs.active++
+					break
+				}
 			}
 		}
 	}
@@ -297,6 +342,9 @@ func (rs *ruleStream) decide(t int, events []Event) []Event {
 		if rs.warmups[i].suppresses(t, regs) {
 			suppressed = true
 		}
+	}
+	if suppressed {
+		rs.suppressed++
 	}
 	if mark == "" || suppressed {
 		if rs.open {
