@@ -12,7 +12,7 @@ help:
 	@echo "  test        build everything and run the full suite (default)"
 	@echo "  race        race-clean gate: vet + chaos sweep + short suite under -race (archive/recheck run unshortened)"
 	@echo "  short       the suite minus campaign-scale tests"
-	@echo "  bench       all benchmarks with -benchmem; records BENCH_PR10.json via cmd/benchjson"
+	@echo "  bench       all benchmarks, five runs each with -benchmem; folds them into BENCH.json via cmd/benchjson"
 	@echo "  chaos       seeded transport-chaos suite under -race + wire fuzz smoke"
 	@echo "  crash       subprocess SIGKILL matrix: 16 seeded kills of a real monitord under -race"
 	@echo "  fuzz        brief fuzz passes (wire decoder, spec parser, archive segments)"
@@ -58,16 +58,15 @@ crash:
 short:
 	$(GO) test -short ./...
 
-# Runs every benchmark and snapshots the numbers to BENCH_PR10.json so
-# performance work leaves a committed, diffable record; the label says
-# which PR produced the snapshot even once copied elsewhere. The PR10
-# snapshot is the proof spec rollout kept the pinned costs with shadow
-# mode off — Fig1 codec 0 allocs/op, MonitorOnline 400 allocs/op,
-# BenchmarkFleetIngest within 3% of BENCH_PR9.json — and documents the
-# deliberate ~2x ns/frame of BenchmarkFleetIngestShadow while a canary
-# is being dual-evaluated.
+# Runs every benchmark five times and snapshots each one's medians and
+# [min, max] ranges to BENCH.json, so performance work leaves a
+# committed, diffable record. A change counts as faster or slower only
+# where benchjson -compare flags it, i.e. where each side's median lies
+# outside the other's range:
+#   go test -bench=. -benchmem -count=5 -run='^$$' ./... | go run ./cmd/benchjson -compare BENCH.json
+# The BENCH_PR*.json files are single-run history and are not rewritten.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson -label PR10 > BENCH_PR10.json
+	$(GO) test -bench=. -benchmem -count=5 -run=^$$ ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.json
 
 # Brief fuzz passes over the parser/formatter, the wire codec and the
 # archive segment reader.

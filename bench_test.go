@@ -332,9 +332,12 @@ func BenchmarkMonitorOnlineInstrumented(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamStep isolates StreamChecker.Step: the strict rule set
-// stepped over the ten-minute trace aligned onto the evaluation grid,
-// with no frame decoding or latching. It reports ns/step.
+// BenchmarkStreamStep isolates the stream checker: the strict rule set
+// run over the ten-minute trace aligned onto the evaluation grid, with
+// no frame decoding or latching. It reports ns/step. The push
+// sub-benchmark drives the checker as offline checks do, Push over the
+// trace then Finish, so steps run in full blocks; rows=1 calls Step per
+// row, the one-step block of frame-by-frame online pushes.
 func BenchmarkStreamStep(b *testing.B) {
 	grid, err := trace.Align(benchTrace(b), sigdb.FastPeriod)
 	if err != nil {
@@ -358,23 +361,32 @@ func BenchmarkStreamStep(b *testing.B) {
 			vals[k][i], upd[k][i] = v[k], u[k]
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc, err := rs.NewStreamChecker(names, grid.Period, speclang.EvalOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for k := range vals {
-			if _, err := sc.Step(vals[k], upd[k]); err != nil {
-				b.Fatal(err)
+	for _, mode := range []struct {
+		name string
+		push func(*speclang.StreamChecker, []float64, []bool) ([]speclang.Event, error)
+	}{
+		{"push", (*speclang.StreamChecker).Push},
+		{"rows=1", (*speclang.StreamChecker).Step},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc, err := rs.NewStreamChecker(names, grid.Period, speclang.EvalOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for k := range vals {
+					if _, err := mode.push(sc, vals[k], upd[k]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := sc.Finish(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		if _, err := sc.Finish(); err != nil {
-			b.Fatal(err)
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/step")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/step")
 }
 
 // BenchmarkMonitorAlign isolates the grid-alignment stage.

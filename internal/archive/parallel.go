@@ -19,19 +19,53 @@ type ScanOptions struct {
 }
 
 // scanChunk holds one fully decoded segment: the records in archive
-// order, their frames copied into a shared arena (iterator scratch
-// does not survive a goroutine hop), and the error that stopped the
-// decode, if any.
+// order, their frames copied into the chunk's frame arena (iterator
+// scratch does not survive a goroutine hop), and the error that stopped
+// the decode, if any.
 type scanChunk struct {
-	recs   []Record
-	frames []can.Frame
-	err    error
+	recs []Record
+	// slabs is the frame arena: fixed-size slabs filled in order, cur
+	// the one being filled (-1 before the first record). They are
+	// recycled with the chunk.
+	slabs [][]can.Frame
+	cur   int
+	err   error
 }
 
-// maxReservedFrames caps decodeSegment's up-front arena reservation at
-// a default-size segment's worth of frames; larger segments grow past
-// it on demand.
-const maxReservedFrames = defaultSegmentBytes / minFrameBytes
+// slabFrames is the frame capacity of one arena slab. A record's frames
+// are copied into one slab, so no slab is ever regrown, and a chunk
+// holds at most one slab more than its frames need, beside the tails
+// left where a record did not fit.
+const slabFrames = 4096
+
+// reset empties the chunk for the next segment, keeping its slabs.
+func (ch *scanChunk) reset() {
+	ch.recs, ch.err, ch.cur = ch.recs[:0], nil, -1
+	for i := range ch.slabs {
+		ch.slabs[i] = ch.slabs[i][:0]
+	}
+}
+
+// copyFrames copies one record's frames into the arena and returns the
+// copy: the rest of the slab being filled when they fit, otherwise the
+// next slab, recycled or new. A record longer than a slab gets an
+// array of its own, which is not recycled.
+func (ch *scanChunk) copyFrames(src []can.Frame) []can.Frame {
+	if len(src) > slabFrames {
+		return append([]can.Frame(nil), src...)
+	}
+	if ch.cur < 0 || cap(ch.slabs[ch.cur])-len(ch.slabs[ch.cur]) < len(src) {
+		ch.cur++
+		if ch.cur == len(ch.slabs) {
+			ch.slabs = append(ch.slabs, make([]can.Frame, 0, slabFrames))
+		}
+	}
+	slab := ch.slabs[ch.cur]
+	start := len(slab)
+	slab = append(slab, src...)
+	ch.slabs[ch.cur] = slab
+	return slab[start:len(slab):len(slab)]
+}
 
 // ParallelIterator walks a catalog's records in archive order — the
 // same order Catalog.Iter yields them — while decoding up to
@@ -149,9 +183,9 @@ func (c *Catalog) ParallelIter(q Query, opt ScanOptions) *ParallelIterator {
 
 // decodeSegment replays one segment through a worker-owned sequential
 // iterator, copying every record (and its frames, which are iterator
-// scratch) into a recycled chunk arena. Records sliced from the arena
-// stay valid when a later append reallocates it — the old backing
-// array is untouched.
+// scratch) into a recycled chunk. The frame arena grows a slab at a
+// time as the segment needs, so it is sized by the frames decoded, not
+// by a guess from the segment's bytes.
 func (p *ParallelIterator) decodeSegment(it *Iterator, seg segment) *scanChunk {
 	var ch *scanChunk
 	select {
@@ -159,20 +193,12 @@ func (p *ParallelIterator) decodeSegment(it *Iterator, seg segment) *scanChunk {
 	default:
 		ch = new(scanChunk)
 	}
-	ch.recs, ch.frames, ch.err = ch.recs[:0], ch.frames[:0], nil
-	// Reserve the arena once: no segment holds more frames than its
-	// bytes allow, and the cap keeps a selective query over a huge
-	// segment from reserving far more than it will decode.
-	if need := min(seg.dataEnd/minFrameBytes, maxReservedFrames); int64(cap(ch.frames)) < need {
-		ch.frames = make([]can.Frame, 0, need)
-	}
+	ch.reset()
 	it.reset(seg, p.q)
 	for it.Next() {
 		rec := *it.Record()
 		if len(rec.Frames) > 0 {
-			start := len(ch.frames)
-			ch.frames = append(ch.frames, rec.Frames...)
-			rec.Frames = ch.frames[start:len(ch.frames):len(ch.frames)]
+			rec.Frames = ch.copyFrames(rec.Frames)
 		}
 		ch.recs = append(ch.recs, rec)
 	}

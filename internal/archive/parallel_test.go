@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cpsmon/internal/can"
 )
@@ -253,31 +254,81 @@ func TestParallelIterDecodeErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestDecodeSegmentReservesArenaOnce pins the frame arena reservation:
-// a segment's frames fit the arena reserved from its size, so decoding
-// never regrows it, and a huge segment reserves no more than the cap.
+// TestDecodeSegmentReservesArenaOnce pins the frame arena: every
+// record's frames lie within one fixed-size slab, so no slab is ever
+// regrown and records never move; a chunk holds at most one slab more
+// than its frames need, beside the tails left where a record did not
+// fit; and a recycled chunk refills the slabs it already has.
 func TestDecodeSegmentReservesArenaOnce(t *testing.T) {
 	dir := t.TempDir()
-	buildInterleavedArchive(t, dir, 16, 8)
+	w, err := OpenWriter(dir, Options{SegmentBytes: 256 << 10})
+	if err != nil {
+		t.Fatalf("OpenWriter: %v", err)
+	}
+	for i := 0; i < 2000; i++ { // ~68k frames: segments of several slabs
+		if err := w.ArchiveFrames(uint64(1+i%8), "veh", mkFrames(20+(i%5)*7, time.Duration(i)*40*time.Millisecond)); err != nil {
+			t.Fatalf("ArchiveFrames: %v", err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 	cat, err := OpenCatalog(dir)
 	if err != nil {
 		t.Fatalf("OpenCatalog: %v", err)
 	}
-	p := &ParallelIterator{}
+	p := &ParallelIterator{free: make(chan *scanChunk, 1)}
 	it := &Iterator{vehicles: make(map[string]string)}
+	multi := false
 	for i, seg := range cat.segs {
 		ch := p.decodeSegment(it, seg)
 		if ch.err != nil {
 			t.Fatalf("segment %d: %v", i, ch.err)
 		}
-		if want := seg.dataEnd / minFrameBytes; int64(cap(ch.frames)) != want {
-			t.Errorf("segment %d: arena capacity %d, want the reservation %d", i, cap(ch.frames), want)
+		frames, longest := 0, 0
+		for _, rec := range ch.recs {
+			frames += len(rec.Frames)
+			longest = max(longest, len(rec.Frames))
+			if len(rec.Frames) == 0 {
+				continue
+			}
+			in := false
+			for _, slab := range ch.slabs {
+				lo, hi := &slab[:1][0], &slab[:cap(slab)][cap(slab)-1]
+				first, last := &rec.Frames[0], &rec.Frames[len(rec.Frames)-1]
+				if uintptr(unsafe.Pointer(first)) >= uintptr(unsafe.Pointer(lo)) && uintptr(unsafe.Pointer(last)) <= uintptr(unsafe.Pointer(hi)) {
+					in = true
+				}
+			}
+			if !in {
+				t.Fatalf("segment %d: a record's frames lie outside every slab", i)
+			}
 		}
+		held := 0
+		for _, slab := range ch.slabs {
+			if cap(slab) != slabFrames {
+				t.Fatalf("segment %d: slab capacity %d, want %d", i, cap(slab), slabFrames)
+			}
+			held += cap(slab)
+		}
+		if slack := held - frames; slack > slabFrames+len(ch.slabs)*longest {
+			t.Errorf("segment %d: %d frames in %d slabs, slack %d exceeds one slab plus tails", i, frames, len(ch.slabs), slack)
+		}
+		multi = multi || len(ch.slabs) > 1
+		// Recycle: the next segment refills these slabs before adding any.
+		slabs := append([][]can.Frame(nil), ch.slabs...)
+		p.free <- ch
+		next := p.decodeSegment(it, seg)
+		for k := range min(len(slabs), len(next.slabs)) {
+			if cap(slabs[k]) > 0 && &slabs[k][:1][0] != &next.slabs[k][:1][0] {
+				t.Fatalf("segment %d: recycled chunk replaced slab %d", i, k)
+			}
+		}
+		p.free <- next
+		<-p.free
 	}
-	huge := cat.segs[0]
-	huge.dataEnd = 1 << 30
-	if ch := p.decodeSegment(it, huge); cap(ch.frames) != maxReservedFrames {
-		t.Errorf("1 GiB segment reserved %d frames, want the cap %d", cap(ch.frames), maxReservedFrames)
+	if !multi {
+		t.Fatal("no segment spans two slabs; the fixture does not exercise the slab boundary")
 	}
 }
 

@@ -53,6 +53,7 @@ type OnlineMonitor struct {
 	events []OnlineEvent
 
 	pending  int           // the step currently accumulating frames
+	queued   bool          // steps pushed to the checker since the last flush
 	lastTime time.Duration // time of the newest accepted frame
 	sawFrame bool
 	closed   bool
@@ -131,7 +132,11 @@ func (o *OnlineMonitor) PushFrame(f can.Frame) ([]OnlineEvent, error) {
 	}
 	o.events = o.events[:0]
 	defer o.publish()
-	if err := o.push(f); err != nil {
+	err := o.push(f)
+	if ferr := o.flush(); err == nil {
+		err = ferr
+	}
+	if err != nil {
 		return nil, err
 	}
 	return o.events, nil
@@ -157,9 +162,15 @@ func (o *OnlineMonitor) PushFrames(frames []can.Frame) (events []OnlineEvent, re
 			o.nStale++
 			continue
 		}
-		if err := o.push(f); err != nil {
-			return nil, rejected, err
+		if err = o.push(f); err != nil {
+			break
 		}
+	}
+	if ferr := o.flush(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return nil, rejected, err
 	}
 	return o.events, rejected, nil
 }
@@ -204,10 +215,15 @@ func (o *OnlineMonitor) push(f can.Frame) error {
 }
 
 // finalizeStep pushes the pending step into the checker and converts
-// its events into the scratch buffer. Only a timed step reads the
-// clock: one in stepSampleEvery when metrics are attached (the step
-// latency histograms' sample), and every step of a stage-timed batch.
-// A step that is both is timed once and feeds both consumers.
+// the events of any block that push ran into the scratch buffer. The
+// checker queues steps into blocks; PushFrame, PushFrames and Close
+// flush before they return, so a call's steps run as one block and no
+// event is decided later than the call that finalized its step. Only
+// a timed step reads the clock: one in stepSampleEvery when metrics are
+// attached (the step latency histograms' sample), and every step of a
+// stage-timed batch. It runs through StepTimed as a one-step block,
+// after the steps queued before it. A step that is both is timed once
+// and feeds both consumers.
 func (o *OnlineMonitor) finalizeStep() error {
 	sampled := o.met != nil && o.pending%stepSampleEvery == 0
 	var evs []speclang.Event
@@ -231,15 +247,42 @@ func (o *OnlineMonitor) finalizeStep() error {
 				o.ruleNanos[i] += n
 			}
 		}
-	} else if evs, err = o.sc.Step(o.latched, o.updated); err != nil {
-		return err
+	} else {
+		if evs, err = o.sc.Push(o.latched, o.updated); err != nil {
+			return err
+		}
+		o.queued = true
 	}
 	o.nSteps++
 	for i := range o.updated {
 		o.updated[i] = false
 	}
 	o.pending++
-	o.convert(evs)
+	if len(evs) > 0 {
+		o.convert(evs)
+	}
+	return nil
+}
+
+// flush runs the steps the checker still queues and converts their
+// events. Most frames finalize no step, so the common case returns at
+// once, inlined into its caller.
+func (o *OnlineMonitor) flush() error {
+	if !o.queued {
+		return nil
+	}
+	return o.flushQueued()
+}
+
+func (o *OnlineMonitor) flushQueued() error {
+	o.queued = false
+	evs, err := o.sc.Flush()
+	if err != nil {
+		return err
+	}
+	if len(evs) > 0 {
+		o.convert(evs)
+	}
 	return nil
 }
 

@@ -102,10 +102,10 @@ func (r RuleResult) ActivationRatio() float64 {
 // paper's Table I; otherwise "S").
 func (r RuleResult) Violated() bool { return len(r.Violations) > 0 }
 
-// Eval runs every rule in the set over the source by stepping a
-// StreamChecker through it row by row: the rules' signals are read from
-// the source, and the closed violations are gathered per rule beside
-// the checker's step accounting. A signal a rule references but the
+// Eval runs every rule in the set over the source by pushing its rows
+// through a StreamChecker, which runs them in full blocks: the rules'
+// signals are read from the source, and the closed violations are
+// gathered per rule beside the checker's step accounting. A signal a rule references but the
 // source lacks is an error.
 func (rs *RuleSet) Eval(src Source, opts EvalOptions) ([]RuleResult, error) {
 	universe := rs.SignalUniverse()
@@ -152,7 +152,7 @@ func (rs *RuleSet) Eval(src Source, opts EvalOptions) ([]RuleResult, error) {
 		for i := range names {
 			vals[i], upd[i] = cols[i][t], fresh[i][t]
 		}
-		events, err := sc.Step(vals, upd)
+		events, err := sc.Push(vals, upd)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,10 @@ package speclang
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -110,16 +113,21 @@ func FuzzSpecParser(f *testing.F) {
 // in both delta modes: RuleSet.Eval must reproduce refEval's
 // violations, peaks and suppressed and activation counts. seed draws
 // the trace and, unless ruleSrc parses and compiles over x and a, a
-// random spec as well. A divergence is a stream-compiler bug; its
-// input belongs in testdata/fuzz/FuzzStreamSemantics once fixed.
+// random spec as well. cuts partitions the trace into checker blocks
+// (see driveBlocks), so windows, delay lines and warmups straddle block
+// edges: that run must agree with the reference too, and yield the
+// same event sequence as whole blocks. A divergence is a
+// stream-compiler bug; its input belongs in
+// testdata/fuzz/FuzzStreamSemantics once fixed.
 func FuzzStreamSemantics(f *testing.F) {
+	partitions := [][]byte{nil, {0}, {1}, {2, 33, 34, 35}, {7, 1, 0, 66, 40}}
 	for i, src := range randomizedRules {
-		f.Add(int64(i), src)
+		f.Add(int64(i), src, partitions[i%len(partitions)])
 	}
 	for seed := int64(0); seed < 10; seed++ {
-		f.Add(seed, "")
+		f.Add(seed, "", partitions[seed%int64(len(partitions))])
 	}
-	f.Fuzz(func(t *testing.T, seed int64, ruleSrc string) {
+	f.Fuzz(func(t *testing.T, seed int64, ruleSrc string, cuts []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		var rs *RuleSet
 		if file, err := Parse(ruleSrc); err == nil {
@@ -137,11 +145,119 @@ func FuzzStreamSemantics(f *testing.F) {
 		}
 		src := randomSource(rng, 1+rng.Intn(120))
 		for _, mode := range []DeltaMode{DeltaNaive, DeltaUpdateAware} {
-			if err := checkEquivalent(rs, src, EvalOptions{DeltaMode: mode}); err != nil {
+			opts := EvalOptions{DeltaMode: mode}
+			if err := checkEquivalent(rs, src, opts); err != nil {
 				t.Fatalf("%v\n--- spec ---\n%s", err, ruleSrc)
+			}
+			if err := checkBlocks(rs, src, opts, cuts); err != nil {
+				t.Fatalf("cuts %v: %v\n--- spec ---\n%s", cuts, err, ruleSrc)
 			}
 		}
 	})
+}
+
+// checkBlocks runs src through the checker cut into blocks by cuts and
+// in whole blocks, and requires both runs to give the same events in
+// the same order, and the cut run to reproduce refEval.
+func checkBlocks(rs *RuleSet, src *memSource, opts EvalOptions, cuts []byte) error {
+	want, err := refEval(rs, src, opts)
+	if err != nil {
+		return fmt.Errorf("reference: %v", err)
+	}
+	whole, _, err := driveBlocks(rs, src, opts, nil)
+	if err != nil {
+		return err
+	}
+	events, got, err := driveBlocks(rs, src, opts, cuts)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(events, whole) {
+		return fmt.Errorf("delta mode %d: events differ from whole blocks\ncut:   %+v\nwhole: %+v", opts.DeltaMode, events, whole)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			return fmt.Errorf("rule %s (delta mode %d) diverges from the reference\ncut:       %+v\nreference: %+v",
+				want[i].Name, opts.DeltaMode, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// driveBlocks runs src through a new checker and returns its events and
+// per-rule results. Each byte b of cuts, taken in turn and cyclically,
+// cuts the next block: b%(2*blockSteps+3) is 0 for one StepTimed row, 1
+// for one Step row, and otherwise one more than the number of rows
+// pushed before a Flush. With no cuts every row is pushed, so the
+// checker runs full blocks and Finish runs the rest.
+func driveBlocks(rs *RuleSet, src *memSource, opts EvalOptions, cuts []byte) ([]Event, []RuleResult, error) {
+	names := make([]string, 0, len(src.vals))
+	for name := range src.vals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	sc, err := rs.NewStreamChecker(names, src.StepPeriod(), opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	vals, upd := make([]float64, len(names)), make([]bool, len(names))
+	nanos := make([]int64, sc.NumRules())
+	var events []Event
+	row := 0
+	next := func() bool {
+		if row == src.NumSteps() {
+			return false
+		}
+		for i, name := range names {
+			vals[i], upd[i] = src.vals[name][row], src.upd[name][row]
+		}
+		row++
+		return true
+	}
+	for c := 0; row < src.NumSteps(); c++ {
+		var evs []Event
+		switch b := 2*blockSteps + 3; {
+		case len(cuts) == 0:
+			next()
+			evs, err = sc.Push(vals, upd)
+		case int(cuts[c%len(cuts)])%b == 0:
+			next()
+			evs, err = sc.StepTimed(vals, upd, nanos)
+		case int(cuts[c%len(cuts)])%b == 1:
+			next()
+			evs, err = sc.Step(vals, upd)
+		default:
+			for n := int(cuts[c%len(cuts)])%b - 1; n > 0 && next(); n-- {
+				var pushed []Event
+				if pushed, err = sc.Push(vals, upd); err != nil {
+					return nil, nil, err
+				}
+				events = append(events, pushed...)
+			}
+			evs, err = sc.Flush()
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		events = append(events, evs...)
+	}
+	evs, err := sc.Finish()
+	if err != nil {
+		return nil, nil, err
+	}
+	events = append(events, evs...)
+	results := sc.Summary()
+	for _, e := range events {
+		if e.Kind != ViolationEnd {
+			continue
+		}
+		for i := range results {
+			if results[i].Name == e.Rule {
+				results[i].Violations = append(results[i].Violations, e.Violation)
+			}
+		}
+	}
+	return events, results, nil
 }
 
 // randomSpec builds a random rule file over the signals x and a: a spec

@@ -75,7 +75,7 @@ spec B {
 	}
 	count := func(r *ruleStream, op opcode) int {
 		n := 0
-		for _, in := range r.prog.code {
+		for _, in := range r.prog.code[r.lo:r.hi] {
 			if in.op == op {
 				n++
 			}
@@ -100,8 +100,16 @@ spec B {
 	if b.delay != 40 {
 		t.Errorf("rule B delay = %d, want 40", b.delay)
 	}
-	if &a.prog.regs[0] == &b.prog.regs[0] {
-		t.Error("rules share a register file")
+	// Both rules load x from the one input block; every register an
+	// instruction writes belongs to one rule.
+	written := make(map[int32]bool)
+	for _, in := range a.prog.code[a.lo:a.hi] {
+		written[in.dst] = true
+	}
+	for _, in := range b.prog.code[b.lo:b.hi] {
+		if written[in.dst] {
+			t.Errorf("rules share register %d", in.dst)
+		}
 	}
 }
 
@@ -172,5 +180,31 @@ monitor R2 { initial state A { when a && x > 0.9 => violate "hi" } }
 	}
 	if reads != 0 {
 		t.Errorf("Finish read the clock %d times; only StepTimed times a step", reads)
+	}
+}
+
+// TestStreamLinksRulesOverDifferentSignals runs rules that each load
+// signals no earlier rule loads, so the checker's register file
+// interleaves input columns first loaded late with earlier rules' own
+// registers; every rule must still match the reference.
+func TestStreamLinksRulesOverDifferentSignals(t *testing.T) {
+	rules := `
+spec P { let d = delta(x) assert x < 1.2 && d > -2 && !(x > 1.4) }
+spec Q { severity abs(b) assert a -> eventually[0:30ms](b < 0.8 || prev(b) > 1) }
+monitor R {
+	initial state A { when c > 0.9 && b > 0.5 => violate "hi" then B }
+	state B { when c < 0.2 => A after 40ms => violate "stuck" }
+}
+spec S { assert c + x < 2.5 || updated(a) }
+`
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		src := randomSource(rng, 80)
+		b := randomSource(rng, 80)
+		c := randomSource(rng, 80)
+		src.addWithUpd("b", b.vals["x"], b.upd["x"]).addWithUpd("c", c.vals["x"], c.upd["x"])
+		for _, mode := range []DeltaMode{DeltaNaive, DeltaUpdateAware} {
+			requireEquivalent(t, rules, src, EvalOptions{DeltaMode: mode}, "x", "a", "b", "c")
+		}
 	}
 }

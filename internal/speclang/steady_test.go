@@ -8,9 +8,10 @@ import (
 	"cpsmon/internal/speclang"
 )
 
-// TestStreamStepZeroAllocs pins steady-state StreamChecker.Step at zero
-// allocations for the paper's strict and relaxed rule sets, both as
-// plain Step and as StepTimed. The input cycles through a pattern that
+// TestStreamStepZeroAllocs pins the steady-state StreamChecker at zero
+// allocations for the paper's strict and relaxed rule sets: as plain
+// Step, as StepTimed, and as Push with a Flush every few rows, so full
+// and partial blocks both run. The input cycles through a pattern that
 // opens and closes violations, so the event path is exercised too.
 func TestStreamStepZeroAllocs(t *testing.T) {
 	names := sigdb.Vehicle().SignalNames()
@@ -31,7 +32,7 @@ func TestStreamStepZeroAllocs(t *testing.T) {
 		name string
 		load func() (*speclang.RuleSet, error)
 	}{{"strict", rules.Strict}, {"relaxed", rules.Relaxed}} {
-		for _, timed := range []bool{false, true} {
+		for _, mode := range []string{"step", "timed", "push"} {
 			rs, err := set.load()
 			if err != nil {
 				t.Fatal(err)
@@ -46,10 +47,17 @@ func TestStreamStepZeroAllocs(t *testing.T) {
 			step := func() {
 				var evs []speclang.Event
 				var err error
-				if timed {
+				switch mode {
+				case "timed":
 					evs, err = sc.StepTimed(vals[k%period], upd[k%period], nanos)
-				} else {
+				case "step":
 					evs, err = sc.Step(vals[k%period], upd[k%period])
+				default:
+					evs, err = sc.Push(vals[k%period], upd[k%period])
+					events += len(evs)
+					if err == nil && k%45 == 44 { // a partial block every 45 rows
+						evs, err = sc.Flush()
+					}
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -64,7 +72,7 @@ func TestStreamStepZeroAllocs(t *testing.T) {
 				t.Fatalf("%s: warm-up produced no events; the pin would skip the event path", set.name)
 			}
 			if allocs := testing.AllocsPerRun(5*period, step); allocs != 0 {
-				t.Errorf("%s (timed=%v): steady-state Step allocates %.2f times per step, want 0", set.name, timed, allocs)
+				t.Errorf("%s (%s): steady state allocates %.2f times per step, want 0", set.name, mode, allocs)
 			}
 		}
 	}

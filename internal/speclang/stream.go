@@ -12,24 +12,29 @@ import (
 // "there is no fundamental reason the monitoring could not be done at
 // runtime"; this evaluator serves both: RuleSet.Eval feeds it the rows
 // of a recorded grid, the online monitor the steps of a live frame
-// stream. It consumes aligned steps one at a time and keeps only bounded
+// stream. It consumes aligned steps in blocks and keeps only bounded
 // state (buffers no longer than the temporal horizon). The tests pin it
 // against the reference semantics in reference_test.go.
 //
 // Each rule compiles once into a program: a flat, topologically ordered
-// instruction slice over a float64/bool register file. Every register
-// carries a delay: the value it holds while input step k is consumed
-// belongs to step k-delay. A bounded eventually[lo:hi] can only decide
-// step s once step s+hi has been seen, so its delay is hi steps plus
-// its operand's. Delays are resolved at compile time: operands of equal
-// delay combine in place, and only an operand whose delay is shorter
-// than its sibling's is routed through a fixed-length delay line.
-// Within a rule, inlined lets and repeated subexpressions compile to one
-// instruction each; that sharing is exact because every instruction is
-// a deterministic function of its operands' step sequences. Nothing is
-// shared across rules, so per-rule timing stays exact. After the final
-// input step, Finish keeps stepping the programs with exhausted inputs,
-// draining them with the reference's truncated-window semantics.
+// instruction slice. The checker links the rules' programs into one,
+// over a register file of columns, and runs it a block of input steps
+// at a time, one instruction over the whole block before the next, so
+// opcode dispatch is paid per block, not per step; a single step is a
+// one-step block. Every register carries a delay: the value its column
+// holds for input step k belongs to step k-delay. A bounded
+// eventually[lo:hi] can only decide step s once step s+hi has been
+// seen, so its delay is hi steps plus its operand's. Delays are resolved
+// at compile time: operands of equal delay combine in place, and only
+// an operand whose delay is shorter than its sibling's is routed
+// through a fixed-length delay line. Within a rule, inlined lets and
+// repeated subexpressions compile to one instruction each; that sharing
+// is exact because every instruction is a deterministic function of its
+// operands' step sequences. Rules share only the input columns, and
+// each owns a contiguous range of the linked program, so per-rule
+// timing stays exact. After the final input step, Finish keeps running
+// each rule's range with exhausted inputs, draining it with the
+// reference's truncated-window semantics.
 
 // opcode selects what one instruction computes.
 type opcode uint8
@@ -89,11 +94,29 @@ var temporalOps = map[string]opcode{
 	"always": opAlways, "eventually": opEventually, "once": opOnce, "historically": opHistorically,
 }
 
+// blockSteps is the number of input steps one block executes, and so
+// the length of every register column. Offline checks run full blocks;
+// the online monitor runs one block per push call, however few steps
+// that call finalized.
+const blockSteps = 32
+
+// column is one register's values over a block, slot j holding input
+// step k0+j; freshColumn is its freshness bits.
+type (
+	column      [blockSteps]float64
+	freshColumn [blockSteps]bool
+)
+
 // instr is one program instruction. It writes register dst from the
 // operand registers a, b and c; stateful opcodes keep their state in
-// the program's per-kind slice at index state.
+// the program's per-kind slice at index state. Until the checker links
+// the program, registers are numbered per rule; after, each indexes the
+// checker's register file (see program.v).
 type instr struct {
-	op      opcode
+	op opcode
+	// fresh is set when some reader consumes dst's freshness column
+	// (see markFresh); otherwise only its value column is computed.
+	fresh   bool
 	dst     int32
 	a, b, c int32
 	state   int32
@@ -101,16 +124,33 @@ type instr struct {
 	// hold a value. end is dst's delay; only temporal lookahead and
 	// delay lines make it exceed start.
 	start, end int32
+
+	// The linked value columns of dst, a, b and c, resolved once so
+	// the executor indexes no register file for values. Freshness,
+	// read far more rarely, is indexed from the register file.
+	out, x, y, z *column
 }
 
-// reg is one register: a value and its freshness bit (whether any
-// constituent signal updated at the step the value belongs to).
+// arity returns how many operands an instruction of this opcode reads.
+func (op opcode) arity() int {
+	switch op {
+	case opAdd, opSub, opMul, opDiv, opAnd, opOr, opImplies,
+		opLT, opLE, opGT, opGE, opEQ, opNE, opMin, opMax:
+		return 2
+	case opCond:
+		return 3
+	}
+	return 1
+}
+
+// reg is one delay-line slot: a value and its freshness bit (whether
+// any constituent signal updated at the step the value belongs to).
 type reg struct {
 	v float64
 	u bool
 }
 
-// load copies input signal src into register dst.
+// load binds input signal src to register dst.
 type load struct {
 	src, dst int32
 }
@@ -137,180 +177,370 @@ type window struct {
 	count  int
 	first  int // oldest operand step in the window (future operators)
 	seen   int // operand steps consumed
+	// Future operators walk their rings by cursor: pos and fpos are the
+	// truth and fresh slots the next push writes, out the fresh slot of
+	// the next output step.
+	pos, fpos, out int
+}
+
+// line is a delay line: a ring of operand slots indexed by operand step
+// modulo its length, plus the slot the next operand step uses.
+type line struct {
+	slots []reg
+	pos   int
 }
 
 // program is one rule's compiled evaluator.
 type program struct {
 	loads []load
 	code  []instr
-	regs  []reg
+	// init is each register's preset value: a constant's value, zero
+	// for every other register.
+	init  []float64
 	hists []histState
 	edges []bool // rise/fall: the operand's previous truthiness
 	wins  []window
-	lines [][]reg // delay lines, indexed by operand step modulo length
+	lines []line
+
+	// v and u are the checker's register file, shared by every rule
+	// and set when the checker links the program. Register r is the
+	// value column v[r] and the freshness column u[r]; slot j of a
+	// block holds input step k0+j. A load register is a column of the
+	// checker's one input block.
+	v []column
+	u []freshColumn
 
 	mode   DeltaMode
 	period float64 // seconds
 }
 
-// run executes input step k. n is the number of input steps, or
-// math.MaxInt while the trace is still open; at k >= n the inputs are
-// exhausted and only the outputs still owed are produced: delay lines
-// shift out and future windows emit truncated verdicts.
+// exec runs instructions code[lo:hi] over input steps k0 through
+// k0+m-1 (0 < m <= blockSteps), one instruction over the whole block at
+// a time: the whole program for a block, one rule's range for a timed
+// step or a rule's drain. n is the number of input
+// steps, or math.MaxInt while the trace is still open; at k >= n the
+// inputs are exhausted and only the outputs still owed are produced:
+// delay lines shift out and future windows emit truncated verdicts.
 //
-// A register of delay d holds step k-d once step k has run, whenever
-// 0 <= k-d < n. Stateless instructions run unconditionally: outside
+// A register of delay d holds step k-d in slot k-k0 whenever
+// 0 <= k-d < n. Stateless instructions fill their whole column: outside
 // that range they write values no valid reader consumes. Stateful ones
-// advance only on valid operands.
-func (p *program) run(vals []float64, upd []bool, k, n int) {
-	r := p.regs
-	if k < n {
-		for _, l := range p.loads {
-			r[l.dst] = reg{vals[l.src], upd[l.src]}
-		}
+// walk their column in step order and advance only on valid operands.
+func (p *program) exec(lo, hi, k0, m, n int) {
+	for i := p.execInline(lo, hi, k0, m, n); i < hi; i = p.execInline(i+1, hi, k0, m, n) {
+		p.execRing(&p.code[i], k0, m, n)
 	}
-	for i := range p.code {
-		in := &p.code[i]
-		x, y := &r[in.a], &r[in.b]
-		var out reg
+}
+
+// execInline runs instructions from code[i], short of code[hi], until
+// the next one that keeps a ring buffer (a temporal window or a delay
+// line), and returns that one's index (hi when none). The loop makes no
+// call, so its state stays in machine registers.
+func (p *program) execInline(i, hi, k0, m, n int) int {
+	if m > blockSteps {
+		panic("speclang: block exceeds blockSteps")
+	}
+	code, u := p.code[:hi], p.u
+	for ; i < len(code); i++ {
+		in := &code[i]
+		dst, x := in.out[:m], in.x
 		switch in.op {
 		case opNot:
-			out = reg{b2f(!truthy(x.v)), x.u}
+			for j := range dst {
+				dst[j] = b2f(!truthy(x[j]))
+			}
 		case opNeg:
-			out = reg{-x.v, x.u}
+			for j := range dst {
+				dst[j] = -x[j]
+			}
 		case opAdd:
-			out = reg{x.v + y.v, x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = x[j] + y[j]
+			}
 		case opSub:
-			out = reg{x.v - y.v, x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = x[j] - y[j]
+			}
 		case opMul:
-			out = reg{x.v * y.v, x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = x[j] * y[j]
+			}
 		case opDiv:
-			out = reg{x.v / y.v, x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = x[j] / y[j]
+			}
 		case opAnd:
-			out = reg{b2f(truthy(x.v) && truthy(y.v)), x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = b2f(truthy(x[j]) && truthy(y[j]))
+			}
 		case opOr:
-			out = reg{b2f(truthy(x.v) || truthy(y.v)), x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = b2f(truthy(x[j]) || truthy(y[j]))
+			}
 		case opImplies:
-			out = reg{b2f(!truthy(x.v) || truthy(y.v)), x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = b2f(!truthy(x[j]) || truthy(y[j]))
+			}
 		// Go's ordered comparisons and == are already false on NaN,
 		// the language's rule; only != needs the explicit test.
 		case opLT:
-			out = reg{b2f(x.v < y.v), x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = b2f(x[j] < y[j])
+			}
 		case opLE:
-			out = reg{b2f(x.v <= y.v), x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = b2f(x[j] <= y[j])
+			}
 		case opGT:
-			out = reg{b2f(x.v > y.v), x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = b2f(x[j] > y[j])
+			}
 		case opGE:
-			out = reg{b2f(x.v >= y.v), x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = b2f(x[j] >= y[j])
+			}
 		case opEQ:
-			out = reg{b2f(x.v == y.v), x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = b2f(x[j] == y[j])
+			}
 		case opNE:
-			out = reg{b2f(x.v != y.v && x.v == x.v && y.v == y.v), x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = b2f(x[j] != y[j] && x[j] == x[j] && y[j] == y[j])
+			}
 		case opValid:
-			out = reg{b2f(!math.IsNaN(x.v) && !math.IsInf(x.v, 0)), x.u}
+			for j := range dst {
+				dst[j] = b2f(!math.IsNaN(x[j]) && !math.IsInf(x[j], 0))
+			}
 		case opAbs:
-			out = reg{math.Abs(x.v), x.u}
+			for j := range dst {
+				dst[j] = math.Abs(x[j])
+			}
 		case opMin:
-			out = reg{math.Min(x.v, y.v), x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = min(x[j], y[j])
+			}
 		case opMax:
-			out = reg{math.Max(x.v, y.v), x.u || y.u}
+			y := in.y
+			for j := range dst {
+				dst[j] = max(x[j], y[j])
+			}
 		case opCond:
-			z := &r[in.c]
-			out.u = x.u || y.u || z.u
-			if truthy(x.v) {
-				out.v = y.v
-			} else {
-				out.v = z.v
+			y, z := in.y, in.z
+			for j := range dst {
+				if truthy(x[j]) {
+					dst[j] = y[j]
+				} else {
+					dst[j] = z[j]
+				}
 			}
 		case opUpdated:
-			out = reg{b2f(x.u), x.u}
+			xu := &u[in.a]
+			for j := range dst {
+				dst[j] = b2f(xu[j])
+			}
 		case opRise, opFall:
-			if !valid(k, in.start, n) {
-				continue
+			lo, hi := span(k0, m, in.start, n)
+			was, rise := p.edges[in.state], in.op == opRise
+			for j := lo; j < hi; j++ {
+				cur := truthy(x[j])
+				if rise {
+					dst[j] = b2f(cur && !was)
+				} else {
+					dst[j] = b2f(!cur && was)
+				}
+				was = cur
 			}
-			cur := truthy(x.v)
-			was := &p.edges[in.state]
-			if in.op == opRise {
-				out.v = b2f(cur && !*was)
-			} else {
-				out.v = b2f(!cur && *was)
+			p.edges[in.state] = was
+			if in.fresh {
+				for j := lo; j < hi; j++ {
+					u[in.dst][j] = u[in.a][j]
+				}
 			}
-			*was, out.u = cur, x.u
+			continue
 		case opPrev, opDelta, opRate, opChanged:
-			if !valid(k, in.start, n) {
-				continue
+			lo, hi := span(k0, m, in.start, n)
+			h := &p.hists[in.state]
+			for j := lo; j < hi; j++ {
+				var prev float64
+				if p.mode == DeltaNaive {
+					prev = h.naive(x[j])
+				} else {
+					prev = h.updateAware(x[j], u[in.a][j])
+				}
+				switch in.op {
+				case opPrev:
+					dst[j] = prev
+				case opDelta:
+					dst[j] = x[j] - prev
+				case opRate:
+					dst[j] = (x[j] - prev) / h.gap(p.mode, p.period)
+				default: // opChanged
+					d := x[j] - prev
+					dst[j] = b2f(!math.IsNaN(d) && d != 0)
+				}
 			}
-			out = reg{p.hist(in, x.v, x.u), x.u}
-		case opOnce, opHistorically:
-			if !valid(k, in.start, n) {
-				continue
+			if in.fresh {
+				for j := lo; j < hi; j++ {
+					u[in.dst][j] = u[in.a][j]
+				}
 			}
-			out = reg{p.wins[in.state].past(truthy(x.v), in.op == opOnce), x.u}
-		case opAlways, opEventually:
-			w := &p.wins[in.state]
-			if valid(k, in.start, n) {
-				w.push(truthy(x.v), x.u)
+			continue
+		default:
+			return i
+		}
+		if !in.fresh {
+			continue
+		}
+		// A value is fresh when any of its operands is.
+		du, xu := u[in.dst][:m], &u[in.a]
+		switch in.op.arity() {
+		case 1:
+			for j := range du {
+				du[j] = xu[j]
 			}
-			if !valid(k, in.end, n) {
-				continue
+		case 2:
+			yu := &u[in.b]
+			for j := range du {
+				du[j] = xu[j] || yu[j]
 			}
-			out.v, out.u = w.future(k-int(in.end), in.op == opEventually)
-		case opDelay:
-			if k < int(in.start) {
-				continue
-			}
-			line := p.lines[in.state]
-			slot := &line[(k-int(in.start))%len(line)]
-			out = *slot
-			if k-int(in.start) < n {
-				*slot = *x
+		default:
+			yu, zu := &u[in.b], &u[in.c]
+			for j := range du {
+				du[j] = xu[j] || yu[j] || zu[j]
 			}
 		}
-		r[in.dst] = out
 	}
+	return i
 }
 
-// valid reports whether a register of the given delay holds an input
-// step's value at step k of n.
-func valid(k int, delay int32, n int) bool {
-	return uint(k-int(delay)) < uint(n)
-}
-
-// hist advances a prev/delta/rate/changed instruction by one operand
-// output and returns its value.
-func (p *program) hist(in *instr, x float64, fresh bool) float64 {
-	h := &p.hists[in.state]
-	var prev, gap float64
-	if p.mode == DeltaNaive {
-		prev = math.NaN()
-		if h.started {
-			prev = h.last
-		}
-		gap = p.period
-		h.started, h.last = true, x
-	} else {
-		if fresh {
-			h.prevUpd, h.prevStep = h.curVal, h.curStep
-			h.curVal, h.curStep = x, h.n
-		}
-		prev = h.prevUpd
-		if h.prevStep >= 0 && h.curStep > h.prevStep {
-			gap = float64(h.curStep-h.prevStep) * p.period
-		} else {
-			gap = p.period
-		}
-		h.n++
-	}
+// execRing runs one temporal window or delay line over a block: it
+// walks the column in step order, advancing its state only at the slots
+// whose operand step is valid, and writes dst only where its output
+// step is.
+func (p *program) execRing(in *instr, k0, m, n int) {
+	dst, x := in.out[:m], in.x
+	du, xu := &p.u[in.dst], &p.u[in.a]
 	switch in.op {
-	case opPrev:
-		return prev
-	case opDelta:
-		return x - prev
-	case opRate:
-		return (x - prev) / gap
-	default: // opChanged
-		d := x - prev
-		return b2f(!math.IsNaN(d) && d != 0)
+	case opOnce, opHistorically:
+		lo, hi := span(k0, m, in.start, n)
+		w, once := &p.wins[in.state], in.op == opOnce
+		for j := lo; j < hi; j++ {
+			dst[j] = w.past(truthy(x[j]), once)
+		}
+		if in.fresh {
+			copy(du[lo:hi], xu[lo:hi])
+		}
+	case opAlways, opEventually:
+		// The operand enters at its valid slots and verdicts leave at
+		// dst's, end-start slots later; interleave them in step order.
+		plo, phi := span(k0, m, in.start, n)
+		olo, ohi := span(k0, m, in.end, n)
+		w, ev := &p.wins[in.state], in.op == opEventually
+		for j := min(plo, olo); j < max(phi, ohi); j++ {
+			if j >= plo && j < phi {
+				w.push(truthy(x[j]), in.fresh && xu[j])
+			}
+			if j >= olo && j < ohi {
+				dst[j], du[j] = w.future(k0+j-int(in.end), ev)
+			}
+		}
+	case opDelay:
+		l := &p.lines[in.state]
+		o := max(k0, int(in.start)) - int(in.start) // operand step of the first slot written
+		for j := o + int(in.start) - k0; j < m; j++ {
+			slot := &l.slots[l.pos]
+			dst[j] = slot.v
+			if in.fresh {
+				du[j] = slot.u
+			}
+			if o < n {
+				*slot = reg{x[j], in.fresh && xu[j]}
+			}
+			o++
+			if l.pos++; l.pos == len(l.slots) {
+				l.pos = 0
+			}
+		}
+	}
+}
+
+// span returns the block slots [lo, hi) at which a register of the
+// given delay holds an input step's value: 0 <= k0+j-delay < n.
+func span(k0, m int, delay int32, n int) (lo, hi int) {
+	s := k0 - int(delay) // the input step slot 0 holds
+	lo = min(max(-s, 0), m)
+	hi = m
+	if s+m > n {
+		hi = max(n-s, lo)
+	}
+	return lo, hi
+}
+
+// naive advances a DeltaNaive history by one operand value and returns
+// the previous step's value, NaN at the first.
+func (h *histState) naive(x float64) float64 {
+	prev := math.NaN()
+	if h.started {
+		prev = h.last
+	}
+	h.started, h.last = true, x
+	return prev
+}
+
+// updateAware advances a DeltaUpdateAware history by one operand value
+// and its freshness, and returns the value before the latest update.
+func (h *histState) updateAware(x float64, fresh bool) float64 {
+	if fresh {
+		h.prevUpd, h.prevStep = h.curVal, h.curStep
+		h.curVal, h.curStep = x, h.n
+	}
+	h.n++
+	return h.prevUpd
+}
+
+// gap returns the time rate divides by: one period under DeltaNaive,
+// and under DeltaUpdateAware the time between the latest two updates
+// (one period until there are two).
+func (h *histState) gap(mode DeltaMode, period float64) float64 {
+	if mode == DeltaUpdateAware && h.prevStep >= 0 && h.curStep > h.prevStep {
+		return float64(h.curStep-h.prevStep) * period
+	}
+	return period
+}
+
+// markFresh decides which instructions compute their freshness column.
+// updated() reads its operand's freshness, and so do prev, delta, rate
+// and changed under DeltaUpdateAware; an instruction whose freshness is
+// read reads its operands' in turn. Decisions read values only. The
+// code is topologically ordered, so one backward pass meets every
+// reader of a register before its writer.
+func (p *program) markFresh() {
+	live := make([]bool, len(p.init))
+	for i := len(p.code) - 1; i >= 0; i-- {
+		in := &p.code[i]
+		in.fresh = live[in.dst]
+		reads := in.fresh || in.op == opUpdated ||
+			(p.mode == DeltaUpdateAware && (in.op == opPrev || in.op == opDelta || in.op == opRate || in.op == opChanged))
+		if !reads {
+			continue
+		}
+		for _, r := range []int32{in.a, in.b, in.c}[:in.op.arity()] {
+			live[r] = true
+		}
 	}
 }
 
@@ -318,28 +548,36 @@ func (p *program) hist(in *instr, x float64, fresh bool) float64 {
 func (w *window) push(t, fresh bool) {
 	j := w.seen
 	size := len(w.truth)
-	slot := j % size
 	if j >= size { // operand step j-size leaves through the slot j reuses
-		if w.truth[slot] {
+		if w.truth[w.pos] {
 			w.count--
 		}
 		w.first = j - size + 1
 	}
-	w.truth[slot] = t
+	w.truth[w.pos] = t
 	if t {
 		w.count++
 	}
-	w.fresh[j%len(w.fresh)] = fresh
+	w.fresh[w.fpos] = fresh
 	w.seen++
+	if w.pos++; w.pos == size {
+		w.pos = 0
+	}
+	if w.fpos++; w.fpos == len(w.fresh) {
+		w.fpos = 0
+	}
 }
 
 // future returns the verdict for output step o, whose window is operand
-// steps [o+lo, o+hi]. Once the inputs are exhausted the window is
-// truncated at the last operand step; an empty or witness-free
-// truncated window is "no evidence", benign for both operators, as in
-// the reference semantics.
+// steps [o+lo, o+hi]; it is called for o = 0, 1, 2, ... in turn. Once
+// the inputs are exhausted the window is truncated at the last operand
+// step; an empty or witness-free truncated window is "no evidence",
+// benign for both operators, as in the reference semantics.
 func (w *window) future(o int, eventually bool) (float64, bool) {
-	fresh := w.fresh[o%len(w.fresh)]
+	fresh := w.fresh[w.out]
+	if w.out++; w.out == len(w.fresh) {
+		w.out = 0
+	}
 	if o+w.hi < w.seen { // complete window
 		if eventually {
 			return b2f(w.count > 0), fresh
@@ -425,9 +663,9 @@ func newCompiler(signals map[string]int, consts map[string]float64, lets []Let, 
 
 // register allocates a register with the given delay.
 func (c *compiler) register(v float64, delay int) int32 {
-	c.p.regs = append(c.p.regs, reg{v: v})
+	c.p.init = append(c.p.init, v)
 	c.delay = append(c.delay, delay)
-	return int32(len(c.p.regs) - 1)
+	return int32(len(c.p.init) - 1)
 }
 
 // constant returns a register preset to v; no instruction writes it.
@@ -497,7 +735,7 @@ func (c *compiler) emit(k instrKey) int32 {
 		p.wins = append(p.wins, window{truth: make([]bool, k.hi+1), lo: k.lo, hi: k.hi})
 	case opDelay:
 		in.state = int32(len(p.lines))
-		p.lines = append(p.lines, make([]reg, k.hi))
+		p.lines = append(p.lines, line{slots: make([]reg, k.hi)})
 		in.end += int32(k.hi)
 	}
 	in.dst = c.register(0, int(in.end))

@@ -391,3 +391,66 @@ monitor Closing "closing gaps must reopen" {
 		}
 	}
 }
+
+// TestStreamEventOrder pins the checker's event order: by the step that
+// decides an event, then by rule-set order, whether the steps run as
+// one block (Push), as one-step blocks (Step) or are still queued at
+// Finish; Finish drains rule by rule. B and A violate over the same
+// steps, so every decided step carries an event of each; C violates
+// throughout, but its horizon decides step 0 only at step 2.
+func TestStreamEventOrder(t *testing.T) {
+	rs := compileOne(t, `
+spec B { assert x < 0.5 }
+spec A { assert x < 0.5 }
+spec C { assert always[0:20ms](x < 0.5) }
+`, "x")
+	xs := []float64{0, 1, 1, 0, 1, 0, 0, 1, 1, 1}
+	want := []string{
+		"B+@1", "A+@1", "C+@0", "B-@3", "A-@3", "B+@4", "A+@4", "B-@5", "A-@5", "B+@7", "A+@7",
+		"B-@10", "A-@10", "C-@10",
+	}
+	for _, mode := range []string{"push", "step", "queued"} {
+		sc, err := rs.NewStreamChecker([]string{"x"}, 10*time.Millisecond, EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		add := func(evs []Event) {
+			for _, e := range evs {
+				kind := "+"
+				if e.Kind == ViolationEnd {
+					kind = "-"
+				}
+				got = append(got, fmt.Sprintf("%s%s@%d", e.Rule, kind, e.Time/(10*time.Millisecond)))
+			}
+		}
+		for _, x := range xs {
+			var evs []Event
+			switch mode {
+			case "step":
+				evs, err = sc.Step([]float64{x}, []bool{true})
+			default:
+				evs, err = sc.Push([]float64{x}, []bool{true})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(evs)
+		}
+		if mode == "push" {
+			evs, err := sc.Flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(evs)
+		}
+		evs, err := sc.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(evs)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: events %v, want %v", mode, got, want)
+		}
+	}
+}

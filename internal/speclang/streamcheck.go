@@ -31,28 +31,22 @@ type Event struct {
 	Violation Violation
 }
 
-// ruleStream evaluates one compiled rule incrementally.
+// ruleStream evaluates one compiled rule incrementally. The fields
+// decide reads on every step come first, so they share cache lines.
 type ruleStream struct {
-	rule   *Rule
-	period time.Duration
-	prog   *program
 	// delay is the rule's output delay. Every root register below is
 	// aligned to it, so after step k runs they all hold step k-delay.
 	delay int
-
-	// Specs: one register and message per assert clause.
-	asserts []int32
-	msgs    []string
-	// Spec activation: every step when some assert is not an
-	// implication (everyAssertActive), otherwise the steps where some
-	// implication's antecedent register is truthy.
-	antes             []int32
-	everyAssertActive bool
+	// maskUntil is the output step from which no warmup can mask: none
+	// is triggered and every start-of-trace one has expired. MaxInt
+	// when some warmup has a trigger.
+	maskUntil int
 	// Monitors: the state machine consumes the guard registers.
 	machine *machine
-
-	severity int32 // -1 when the rule has none
-	warmups  []warmup
+	// assertCols and anteCols are the linked columns of asserts and
+	// antes; v is the checker's register file, as the program's.
+	assertCols, anteCols []*column
+	v                    []column
 
 	// Per decided output step: how many were masked by a warmup, and
 	// how many exercised the rule (see RuleResult.ActivationSteps).
@@ -63,6 +57,31 @@ type ruleStream struct {
 	openStart int
 	openMsg   string
 	peak      float64
+
+	rule   *Rule
+	period time.Duration
+	// prog is the rule's compiled program until the checker links it,
+	// then the checker's one program, of which the rule owns code[lo:hi].
+	prog   *program
+	lo, hi int
+
+	// Specs: one register and message per assert clause.
+	asserts []int32
+	msgs    []string
+	// Spec activation: every step when some assert is not an
+	// implication (everyAssertActive), otherwise the steps where some
+	// implication's antecedent register is truthy.
+	antes             []int32
+	everyAssertActive bool
+
+	severity int32 // -1 when the rule has none
+	warmups  []warmup
+
+	// evs holds the events the current block decided, and evAt the
+	// block slot that decided each; the checker merges them across
+	// rules into step order.
+	evs  []Event
+	evAt []int
 }
 
 // warmup tracks one warmup clause.
@@ -75,18 +94,26 @@ type warmup struct {
 	suppressedUntil int
 }
 
-// suppresses advances the warmup to output step t and reports whether
-// t is suppressed.
-func (w *warmup) suppresses(t int, regs []reg) bool {
+// mask advances the warmup over block slots [lo, len(supp)), whose
+// output steps start at t0+lo, and sets supp at the slots it masks.
+func (w *warmup) mask(t0, lo int, v []column, supp []bool) {
 	if w.on < 0 {
-		return t < w.window
+		for j := lo; j < len(supp) && t0+j < w.window; j++ {
+			supp[j] = true
+		}
+		return
 	}
-	cur := truthy(regs[w.on].v)
-	if cur && !w.was {
-		w.suppressedUntil = t + w.window
+	on := &v[w.on]
+	for j := lo; j < len(supp); j++ {
+		cur := truthy(on[j])
+		if cur && !w.was {
+			w.suppressedUntil = t0 + j + w.window
+		}
+		w.was = cur
+		if t0+j < w.suppressedUntil {
+			supp[j] = true
+		}
 	}
-	w.was = cur
-	return t < w.suppressedUntil
 }
 
 // machine runs a monitor state machine over its guard registers.
@@ -142,16 +169,17 @@ func newMachine(c *compiler, m *Monitor, initial int, period time.Duration) (*ma
 	return ms, nil
 }
 
-// step executes the transition round for output step t and returns the
-// violation mark, "" when none.
-func (ms *machine) step(t int, regs []reg) string {
+// step executes the transition round for output step t, held in block
+// slot j of the register file v, and returns the violation mark, ""
+// when none.
+func (ms *machine) step(t int, v []column, j int) string {
 	mark := ""
-	for j := range ms.m.States[ms.cur].Transitions {
-		tr := &ms.m.States[ms.cur].Transitions[j]
+	for i := range ms.m.States[ms.cur].Transitions {
+		tr := &ms.m.States[ms.cur].Transitions[i]
 		fire := false
 		switch tr.Kind {
 		case TransWhen:
-			fire = truthy(regs[ms.guards[ms.cur][j]].v)
+			fire = truthy(v[ms.guards[ms.cur][i]][j])
 		case TransAfter:
 			dwell := time.Duration(t-ms.entered) * ms.period
 			fire = dwell >= tr.Deadline
@@ -165,7 +193,7 @@ func (ms *machine) step(t int, regs []reg) string {
 				mark = ms.fallbackMsg[ms.cur]
 			}
 		}
-		if next := ms.targets[ms.cur][j]; next >= 0 && next != ms.cur {
+		if next := ms.targets[ms.cur][i]; next >= 0 && next != ms.cur {
 			ms.cur = next
 			ms.entered = t + 1
 		}
@@ -237,6 +265,11 @@ func newRuleStream(r *Rule, signals map[string]int, period time.Duration, opts E
 			ws.on = reg
 		}
 		rs.warmups = append(rs.warmups, ws)
+		if ws.on >= 0 {
+			rs.maskUntil = math.MaxInt
+		} else {
+			rs.maskUntil = max(rs.maskUntil, ws.window)
+		}
 	}
 
 	// Align every root to the slowest one, so a rule output step is
@@ -248,6 +281,7 @@ func newRuleStream(r *Rule, signals map[string]int, period time.Duration, opts E
 	for _, reg := range roots {
 		*reg = c.align(*reg, rs.delay)
 	}
+	rs.prog.markFresh()
 	return rs, nil
 }
 
@@ -280,91 +314,174 @@ func (rs *ruleStream) roots() []*int32 {
 	return out
 }
 
-// step runs input step k and, once the pipeline is full, decides output
-// step k-delay, appending its events to events.
-func (rs *ruleStream) step(vals []float64, upd []bool, k int, events []Event) []Event {
-	rs.prog.run(vals, upd, k, math.MaxInt)
-	if k >= rs.delay {
-		events = rs.decide(k-rs.delay, events)
+// link places the rule in the checker's register file and its code in
+// the checker's one program: off maps each of the rule's registers to
+// its column, and the rule's instructions and their state are appended
+// to prog, where the rule owns code[lo:hi]. Constant columns are filled
+// once here; no instruction writes them.
+func (rs *ruleStream) link(off []int32, prog *program) {
+	p, v := rs.prog, prog.v
+	for r, x := range p.init {
+		if x != 0 {
+			col := &v[off[r]]
+			for j := range col {
+				col[j] = x
+			}
+		}
 	}
-	return events
+	rs.lo = len(prog.code)
+	for _, in := range p.code {
+		in.dst, in.a, in.b, in.c = off[in.dst], off[in.a], off[in.b], off[in.c]
+		in.out, in.x, in.y, in.z = &v[in.dst], &v[in.a], &v[in.b], &v[in.c]
+		switch in.op {
+		case opRise, opFall:
+			in.state += int32(len(prog.edges))
+		case opPrev, opDelta, opRate, opChanged:
+			in.state += int32(len(prog.hists))
+		case opAlways, opEventually, opOnce, opHistorically:
+			in.state += int32(len(prog.wins))
+		case opDelay:
+			in.state += int32(len(prog.lines))
+		}
+		prog.code = append(prog.code, in)
+	}
+	rs.hi = len(prog.code)
+	prog.edges = append(prog.edges, p.edges...)
+	prog.hists = append(prog.hists, p.hists...)
+	prog.wins = append(prog.wins, p.wins...)
+	prog.lines = append(prog.lines, p.lines...)
+	for _, r := range rs.roots() {
+		*r = off[*r]
+	}
+	rs.prog, rs.v = prog, v
+	rs.assertCols = make([]*column, len(rs.asserts))
+	for i, r := range rs.asserts {
+		rs.assertCols[i] = &v[r]
+	}
+	rs.anteCols = make([]*column, len(rs.antes))
+	for i, r := range rs.antes {
+		rs.anteCols[i] = &v[r]
+	}
 }
 
 // finish drains the program after n input steps, deciding the output
-// steps still in flight, and closes any open violation at n.
-func (rs *ruleStream) finish(n int, events []Event) []Event {
-	for k := n; k < n+rs.delay; k++ {
-		rs.prog.run(nil, nil, k, n)
-		if k >= rs.delay {
-			events = rs.decide(k-rs.delay, events)
-		}
+// steps still in flight, and closes any open violation at n. Events go
+// to rs.evs, in step order.
+func (rs *ruleStream) finish(n int, scratch *[blockSteps]bool) {
+	for k0 := n; k0 < n+rs.delay; k0 += blockSteps {
+		m := min(blockSteps, n+rs.delay-k0)
+		rs.prog.exec(rs.lo, rs.hi, k0, m, n)
+		rs.decide(k0, m, scratch)
 	}
 	if rs.open {
-		events = append(events, rs.close(n))
+		rs.emit(blockSteps, rs.close(n))
 	}
-	return events
 }
 
-// decide assembles output step t from the aligned root registers,
-// counts it, and maintains the open-violation state, appending decided
-// events.
-func (rs *ruleStream) decide(t int, events []Event) []Event {
-	regs := rs.prog.regs
-	mark := ""
+// decide decides the output steps completed by the block of m slots
+// starting at input step k0 (none before the pipeline fills): it reads
+// the aligned root columns, counts each step, and maintains the
+// open-violation state, recording events in rs.evs. scratch holds the
+// block's warmup masks while they are needed.
+func (rs *ruleStream) decide(k0, m int, scratch *[blockSteps]bool) {
+	lo := min(max(rs.delay-k0, 0), m)
+	if lo == m {
+		return
+	}
+	t0 := k0 - rs.delay // the output step slot 0 completes
+	v := rs.v
+	var supp []bool
+	if t0+lo < rs.maskUntil {
+		supp = rs.mask(t0, lo, m, scratch)
+	}
 	if ms := rs.machine; ms != nil {
-		// A monitor step is active when the machine is outside its
-		// initial state before or after the step's transition.
-		active := ms.cur != ms.initial
-		mark = ms.step(t, regs)
-		if active || ms.cur != ms.initial {
-			rs.active++
+		for j := lo; j < m; j++ {
+			// A monitor step is active when the machine is outside its
+			// initial state before or after the step's transition.
+			active := ms.cur != ms.initial
+			mark := ms.step(t0+j, v, j)
+			if active || ms.cur != ms.initial {
+				rs.active++
+			}
+			rs.record(t0+j, j, mark, supp != nil && supp[j])
 		}
-	} else {
-		for i, reg := range rs.asserts {
-			if !truthy(regs[reg].v) {
-				mark = rs.msgs[i]
+		return
+	}
+	// A rule with an assert that is no implication has no antecedents
+	// to read: every step is active.
+	if rs.everyAssertActive {
+		rs.active += m - lo
+	}
+	for j := lo; j < m; j++ {
+		for _, a := range rs.anteCols {
+			if truthy(a[j]) {
+				rs.active++
 				break
 			}
 		}
-		if rs.everyAssertActive {
-			rs.active++
-		} else {
-			for _, reg := range rs.antes {
-				if truthy(regs[reg].v) {
-					rs.active++
-					break
-				}
+		for i, a := range rs.assertCols {
+			if !truthy(a[j]) {
+				rs.record(t0+j, j, rs.msgs[i], supp != nil && supp[j])
+				goto next
 			}
 		}
+		if rs.open {
+			rs.record(t0+j, j, "", false)
+		}
+	next:
 	}
-	suppressed := false
+}
+
+// mask runs the warmups over block slots [lo, m), whose output steps
+// start at t0+lo, and counts the masked steps. It returns the slots'
+// masks, or nil when no warmup can mask any of them: every warmup is
+// a start-of-trace one that has expired.
+func (rs *ruleStream) mask(t0, lo, m int, scratch *[blockSteps]bool) []bool {
+	var supp []bool
 	for i := range rs.warmups {
-		if rs.warmups[i].suppresses(t, regs) {
-			suppressed = true
+		w := &rs.warmups[i]
+		if w.on < 0 && t0+lo >= w.window {
+			continue
+		}
+		if supp == nil {
+			supp = scratch[:m]
+			clear(supp[lo:])
+		}
+		w.mask(t0, lo, rs.v, supp)
+	}
+	if supp == nil {
+		return nil
+	}
+	for _, s := range supp[lo:] {
+		if s {
+			rs.suppressed++
 		}
 	}
-	if suppressed {
-		rs.suppressed++
-	}
+	return supp
+}
+
+// record applies output step t's verdict, decided at block slot j: mark
+// is the violated clause's message, "" when none.
+func (rs *ruleStream) record(t, j int, mark string, suppressed bool) {
 	if mark == "" || suppressed {
 		if rs.open {
-			events = append(events, rs.close(t))
+			rs.emit(j, rs.close(t))
 		}
-		return events
+		return
 	}
 	if !rs.open {
 		rs.open = true
 		rs.openStart = t
 		rs.openMsg = mark
 		rs.peak = 0
-		events = append(events, Event{
+		rs.emit(j, Event{
 			Rule: rs.rule.Name,
 			Kind: ViolationBegin,
 			Time: time.Duration(t) * rs.period,
 		})
 	}
 	if rs.severity >= 0 {
-		a := math.Abs(regs[rs.severity].v)
+		a := math.Abs(rs.v[rs.severity][j])
 		if math.IsNaN(a) {
 			a = math.Inf(1)
 		}
@@ -372,7 +489,12 @@ func (rs *ruleStream) decide(t int, events []Event) []Event {
 			rs.peak = a
 		}
 	}
-	return events
+}
+
+// emit records an event decided at block slot j.
+func (rs *ruleStream) emit(j int, e Event) {
+	rs.evs = append(rs.evs, e)
+	rs.evAt = append(rs.evAt, j)
 }
 
 // close ends the open violation exclusively at step end.
