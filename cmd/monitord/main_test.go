@@ -399,7 +399,7 @@ func TestDaemonArchivesSessions(t *testing.T) {
 	}
 }
 
-// parkRawSession opens a raw v2+ session on addr, streams one batch,
+// parkRawSession opens a raw session on addr, streams one batch,
 // and drops the connection, leaving the session parked for resume.
 func parkRawSession(t *testing.T, addr string) {
 	t.Helper()

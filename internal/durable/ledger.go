@@ -80,7 +80,7 @@ const (
 	defaultSyncEvery = 100 * time.Millisecond
 )
 
-// crcTable is the Castagnoli table, as the archive and wire v2 use.
+// crcTable is the Castagnoli table, as the archive and the wire codec use.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Session is one session's folded ledger state.

@@ -66,11 +66,8 @@ func Recover(led *Ledger, cat *archive.Catalog, srv *fleet.Server) (RecoveryStat
 		}
 	}
 	for id, info := range st.Sessions {
-		if info.Closed || info.Proto < 2 || info.Token == 0 {
-			// Resolved for good, or a session that cannot resume anyway.
-			// The server never ledgers v1 sessions, but an old ledger
-			// generation may still carry one.
-			continue
+		if info.Closed {
+			continue // resolved for good
 		}
 		t := &track{info: info, want: info.Frames}
 		live[id] = t

@@ -387,7 +387,7 @@ func TestRecoverFinalizedUndelivered(t *testing.T) {
 	addr := freePort(t)
 	d := startDaemon(t, stateDir, archDir, addr)
 
-	// A raw v2 session run to a delivered verdict.
+	// A raw session run to a delivered verdict.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

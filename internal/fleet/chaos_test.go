@@ -216,7 +216,7 @@ func TestChaosTransportMatchesOffline(t *testing.T) {
 		seeds, faultsApplied, reconnects, srv.Stats())
 }
 
-// rawGrant performs a version-2 Hello by hand and returns the grant, for
+// rawGrant performs a Hello by hand and returns the grant, for
 // tests that need byte-level control of the uplink.
 func rawGrant(t *testing.T, conn net.Conn, vehicle string) wire.SessionGrant {
 	t.Helper()
@@ -265,7 +265,7 @@ func awaitVerdict(t *testing.T, conn net.Conn) wire.Verdict {
 }
 
 // TestQuarantineMalformedRecord pins the error-budget path: a corrupted
-// record on a v2 session is skipped and counted, and the stream keeps
+// record is skipped and counted, and the stream keeps
 // working — the same batch retransmitted cleanly still reaches the
 // monitor exactly once.
 func TestQuarantineMalformedRecord(t *testing.T) {
@@ -302,10 +302,12 @@ func TestQuarantineMalformedRecord(t *testing.T) {
 	}
 }
 
-// TestQuarantineUnexpectedRecords pins the v2 counterpart of
-// TestProtocolErrorMidStream: a validly-framed record that has no
-// business mid-stream (corruption can flip a type byte into another
-// legal record) is quarantined, not terminal.
+// TestQuarantineUnexpectedRecords pins that a validly-framed record
+// with no business mid-stream (corruption can flip a type byte into
+// another legal record) is quarantined, not terminal: a second Hello,
+// a bare Event (a stored-record type, never sent on a connection) and
+// a record of a retired type byte each cost one unit of error budget
+// and the stream goes on.
 func TestQuarantineUnexpectedRecords(t *testing.T) {
 	srv, addr := startServer(t, nil)
 	conn, err := net.Dial("tcp", addr)
@@ -315,12 +317,14 @@ func TestQuarantineUnexpectedRecords(t *testing.T) {
 	defer conn.Close()
 	rawGrant(t, conn, "veh-u")
 
-	// A v1 Finish and a v1 FrameBatch are both unexpected on a v2
-	// session.
-	if err := wire.Write(conn, wire.Finish{}); err != nil {
+	if err := wire.Write(conn, wire.Hello{Version: wire.Version, Vehicle: "veh-u"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.Write(conn, wire.FrameBatch{Frames: []can.Frame{{Time: time.Millisecond, ID: sigdb.FrameVehicleDyn}}}); err != nil {
+	if err := wire.Write(conn, wire.Event{Kind: wire.EventBegin, Rule: "Rule1", Time: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	// 0x04 was the retired unsequenced Finish: now an unknown type.
+	if _, err := conn.Write([]byte{1, 0, 0, 0, 0x04}); err != nil {
 		t.Fatal(err)
 	}
 	batch := wire.SeqBatch{Seq: 1, Frames: []can.Frame{{Time: 10 * time.Millisecond, ID: sigdb.FrameVehicleDyn}}}
@@ -334,8 +338,8 @@ func TestQuarantineUnexpectedRecords(t *testing.T) {
 	if v.FramesIngested != 1 {
 		t.Errorf("ingested %d frames, want 1", v.FramesIngested)
 	}
-	if got := srv.Stats().RecordsQuarantined; got != 2 {
-		t.Errorf("RecordsQuarantined = %d, want 2", got)
+	if got := srv.Stats().RecordsQuarantined; got != 3 {
+		t.Errorf("RecordsQuarantined = %d, want 3", got)
 	}
 }
 

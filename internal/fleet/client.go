@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -39,17 +38,13 @@ type Options struct {
 	Vehicle, Spec string
 	// OnEvent, when not nil, is invoked from the client's read
 	// goroutine for every incremental event the server pushes
-	// (violations and, on protocol 2, gap events); it must not block
-	// for long or the event stream stalls. Across reconnects each
-	// event is delivered exactly once, in order.
+	// (violations and gap events); it must not block for long or the
+	// event stream stalls. Across reconnects each event is delivered
+	// exactly once, in order.
 	OnEvent func(wire.Event)
 	// Dial opens the transport; net.Dial("tcp", addr) when nil. Tests
 	// substitute fault-injecting dialers here.
 	Dial func(addr string) (net.Conn, error)
-	// Protocol selects the wire protocol version: 0 means the newest
-	// (resumable, sequence-numbered), 1 forces the legacy
-	// single-connection protocol.
-	Protocol uint16
 	// MaxRetries bounds reconnect attempts per recovery episode; the
 	// default is 5. Negative disables reconnection entirely.
 	MaxRetries int
@@ -126,8 +121,8 @@ var errClientClosed = errors.New("fleet: client closed")
 
 // Client is the vehicle side of a fleet session: it uplinks captured
 // frames to a monitord and surfaces the incremental oracle events the
-// server pushes back. On protocol 2 the client is chaos-hardened: it
-// buffers unacknowledged batches, survives disconnects by resuming the
+// server pushes back. The client is chaos-hardened: it buffers
+// unacknowledged batches, survives disconnects by resuming the
 // server-side session with exponential backoff, and dedups both
 // directions by sequence number, so every frame and every event counts
 // exactly once end to end.
@@ -195,9 +190,6 @@ func Dial(addr, vehicle, spec string, onEvent func(wire.Event)) (*Client, error)
 func DialOptions(addr string, o Options) (*Client, error) {
 	if o.Dial == nil {
 		o.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	if o.Protocol == 0 {
-		o.Protocol = wire.Version
 	}
 	if o.MaxRetries == 0 {
 		o.MaxRetries = defaultMaxRetries
@@ -274,10 +266,10 @@ func (c *Client) handshake() (net.Conn, *bufio.Reader, error) {
 	}
 	var open wire.Record
 	c.mu.Lock()
-	if c.opts.Protocol >= 2 && c.token != 0 {
-		open = wire.Resume{Version: c.opts.Protocol, Token: c.token, LastEventSeq: c.lastEventSeq, Epoch: c.epoch}
+	if c.token != 0 {
+		open = wire.Resume{Version: wire.Version, Token: c.token, LastEventSeq: c.lastEventSeq, Epoch: c.epoch}
 	} else {
-		open = wire.Hello{Version: c.opts.Protocol, Vehicle: c.opts.Vehicle, Spec: c.opts.Spec}
+		open = wire.Hello{Version: wire.Version, Vehicle: c.opts.Vehicle, Spec: c.opts.Spec}
 	}
 	c.mu.Unlock()
 	if err := wire.Write(conn, open); err != nil {
@@ -293,12 +285,6 @@ func (c *Client) handshake() (net.Conn, *bufio.Reader, error) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	switch rec := rec.(type) {
-	case wire.HelloAck:
-		if c.opts.Protocol >= 2 {
-			conn.Close()
-			return nil, nil, errors.New("fleet: hello ack: server answered v2 hello with v1 ack")
-		}
-		c.session = rec.Session
 	case wire.SessionGrant:
 		c.mu.Lock()
 		c.session = rec.Session
@@ -391,14 +377,6 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int, rd chan stru
 			if c.isDone() {
 				return
 			}
-			if c.opts.Protocol < 2 {
-				if errors.Is(err, io.EOF) {
-					c.settle(nil, nil)
-				} else {
-					c.settle(nil, err)
-				}
-				return
-			}
 			go c.recover(gen)
 			return
 		}
@@ -452,24 +430,14 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int, rd chan stru
 			v := rec.Verdict
 			c.settle(&v, nil)
 			return
-		case wire.Event:
-			if c.opts.OnEvent != nil {
-				c.opts.OnEvent(rec)
-			}
-		case wire.Verdict:
-			v := rec
-			c.settle(&v, nil)
-			return
 		case wire.Error:
 			c.settle(nil, rec.Err())
 			return
 		default:
-			if c.opts.Protocol >= 2 {
-				c.stats.quarantined.Add(1)
-				continue
-			}
-			c.settle(nil, fmt.Errorf("fleet: unexpected %T from server", rec))
-			return
+			// Out of place on the downlink (corruption can flip a type
+			// byte into another legal record): skip it like a malformed
+			// one.
+			c.stats.quarantined.Add(1)
 		}
 	}
 }
@@ -604,15 +572,12 @@ func (c *Client) clientClosed() bool {
 // needed. Frames must be in non-decreasing time order across all Send
 // calls; stale frames are rejected (and accounted) server-side.
 //
-// On protocol 2, Send succeeds once the batch is buffered for replay:
-// transport failures are recovered in the background and the batch is
-// retransmitted, deduplicated server-side. Send blocks while the
-// replay buffer is full (backpressure) and only errors when the
-// session has ended.
+// Send succeeds once the batch is buffered for replay: transport
+// failures are recovered in the background and the batch is
+// retransmitted, deduplicated server-side. Send blocks while the replay
+// buffer is full (backpressure) and only errors when the session has
+// ended.
 func (c *Client) Send(frames []can.Frame) error {
-	if c.opts.Protocol < 2 {
-		return c.sendLegacy(frames)
-	}
 	for len(frames) > 0 {
 		n := len(frames)
 		if n > maxBatchFrames {
@@ -663,37 +628,8 @@ func (c *Client) endError() error {
 	return errClientClosed
 }
 
-// sendLegacy is the protocol-1 Send: a write error is terminal.
-func (c *Client) sendLegacy(frames []can.Frame) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	for len(frames) > 0 {
-		n := len(frames)
-		if n > maxBatchFrames {
-			n = maxBatchFrames
-		}
-		if err := wire.Write(c.bw, wire.FrameBatch{Frames: frames[:n]}); err != nil {
-			return fmt.Errorf("fleet: send: %w", err)
-		}
-		frames = frames[n:]
-	}
-	return c.bw.Flush()
-}
-
 // Finish declares end-of-stream and waits for the server's verdict.
 func (c *Client) Finish() (*wire.Verdict, error) {
-	if c.opts.Protocol < 2 {
-		c.wmu.Lock()
-		err := wire.Write(c.bw, wire.Finish{})
-		if err == nil {
-			err = c.bw.Flush()
-		}
-		c.wmu.Unlock()
-		if err != nil {
-			return c.sessionOutcome(fmt.Errorf("fleet: finish: %w", err))
-		}
-		return c.Wait()
-	}
 	c.mu.Lock()
 	c.finSent = true
 	c.finSeq = c.nextSeq
@@ -752,8 +688,8 @@ func (c *Client) Wait() (*wire.Verdict, error) {
 
 // Close tears the connection down and stops any reconnection. A
 // session still streaming appears to the server as an unclean
-// disconnect (which, on protocol 2, parks it for the resume grace
-// window before it is reaped).
+// disconnect (which parks it for the resume grace window before it is
+// reaped).
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true

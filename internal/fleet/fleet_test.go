@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func startServer(t testing.TB, mutate func(*Config)) (*Server, string) {
 		DB:      sigdb.Vehicle(),
 		Resolve: testResolver,
 		Triage:  rules.DefaultTriage(),
-		// Keep the teardown Shutdown fast when a test abandons a v2
+		// Keep the teardown Shutdown fast when a test abandons a
 		// session mid-stream; resume tests override this.
 		ResumeGrace: 250 * time.Millisecond,
 	}
@@ -351,22 +352,43 @@ func TestSessionLimit(t *testing.T) {
 	}
 }
 
+// TestVersionMismatchRefused pins the single-protocol handshake: a
+// Hello or a Resume carrying any version but wire.Version is answered
+// with an Error record and opens no session.
 func TestVersionMismatchRefused(t *testing.T) {
-	_, addr := startServer(t, nil)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	srv, addr := startServer(t, nil)
+	opens := map[string]wire.Record{}
+	for _, v := range []uint16{0, 1, 2, 3, 5, 99} {
+		opens[fmt.Sprintf("hello-v%d", v)] = wire.Hello{Version: v, Vehicle: "v"}
 	}
-	defer conn.Close()
-	if err := wire.Write(conn, wire.Hello{Version: 99, Vehicle: "v"}); err != nil {
-		t.Fatal(err)
+	for _, v := range []uint16{0, 2, 3, 5} {
+		opens[fmt.Sprintf("resume-v%d", v)] = wire.Resume{Version: v, Token: 1}
 	}
-	rec, err := wire.Read(conn)
-	if err != nil {
-		t.Fatalf("read refusal: %v", err)
+	for name, open := range opens {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := wire.Write(conn, open); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := wire.Read(conn)
+			if err != nil {
+				t.Fatalf("read refusal: %v", err)
+			}
+			e, ok := rec.(wire.Error)
+			if !ok {
+				t.Fatalf("got %T, want wire.Error", rec)
+			}
+			if !strings.Contains(e.Msg, "protocol version") {
+				t.Errorf("refusal %q does not name the version", e.Msg)
+			}
+		})
 	}
-	if _, ok := rec.(wire.Error); !ok {
-		t.Fatalf("got %T, want wire.Error", rec)
+	if got := srv.Stats().SessionsOpened; got != 0 {
+		t.Errorf("SessionsOpened = %d, want 0", got)
 	}
 }
 
@@ -375,28 +397,6 @@ func TestUnknownSpecRefused(t *testing.T) {
 	if c, err := Dial(addr, "veh-1", "no-such-spec", nil); err == nil {
 		c.Close()
 		t.Fatal("unknown spec accepted")
-	}
-}
-
-func TestProtocolErrorMidStream(t *testing.T) {
-	_, addr := startServer(t, nil)
-	// Version 1 is the strict protocol: any unexpected record is
-	// terminal (a v2 session would quarantine it instead, see
-	// TestQuarantineUnexpectedRecords).
-	c, err := DialOptions(addr, Options{Vehicle: "veh-1", Protocol: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// A second Hello mid-stream is a protocol error.
-	if err := wire.Write(c.bw, wire.Hello{Version: wire.Version}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Wait(); err == nil {
-		t.Fatal("protocol error did not end the session with an error")
 	}
 }
 

@@ -2,7 +2,7 @@ package fleet
 
 import "cpsmon/internal/wire"
 
-// Ledger is the server's durable session log: a record of every v2
+// Ledger is the server's durable session log: a record of every
 // session grant, every acknowledged watermark and every verdict,
 // written *ahead* of the protocol message that promises it, so a
 // process crash can never leave a client holding a promise the next
@@ -55,7 +55,7 @@ type Ledger interface {
 
 // logClosed appends a SessionClosed record, counting failures.
 func (s *Server) logClosed(sess *session) {
-	if led := s.cfg.Ledger; led != nil && sess.proto >= 2 {
+	if led := s.cfg.Ledger; led != nil {
 		if err := led.SessionClosed(sess.id); err != nil {
 			s.stats.ledgerErrors.Add(1)
 		}
@@ -64,7 +64,7 @@ func (s *Server) logClosed(sess *session) {
 
 // logDelivered appends a VerdictDelivered record, counting failures.
 func (s *Server) logDelivered(sess *session) {
-	if led := s.cfg.Ledger; led != nil && sess.proto >= 2 {
+	if led := s.cfg.Ledger; led != nil {
 		if err := led.VerdictDelivered(sess.id); err != nil {
 			s.stats.ledgerErrors.Add(1)
 		}

@@ -107,7 +107,7 @@ func TestLedgerConfigValidation(t *testing.T) {
 	}
 }
 
-// TestLedgerWriteBeforeAck drives a raw v2 session against a server
+// TestLedgerWriteBeforeAck drives a raw session against a server
 // with a recording ledger and asserts the ordering contract at every
 // protocol step: when the client holds a grant the session is ledgered;
 // when it holds an Ack the watermark covers that ack; when it holds the

@@ -14,8 +14,9 @@ import (
 // ledger recorded it, handed to NewRestorer by the recovery engine.
 type RestoredSession struct {
 	// ID and Token are the session's original grant; Proto its wire
-	// protocol version (must be ≥ 2 — only resumable sessions are
-	// ledgered); Vehicle and Spec its Hello selections.
+	// protocol version, which must be wire.Version — a session granted
+	// under another version cannot resume against this server; Vehicle
+	// and Spec its Hello selections.
 	ID, Token uint64
 	Proto     uint16
 	Vehicle   string
@@ -72,7 +73,7 @@ func (s *Server) NewRestorer(info RestoredSession) (*Restorer, error) {
 	if s.cfg.Ledger == nil {
 		return nil, errors.New("fleet: restore requires a configured Ledger")
 	}
-	if info.Proto < 2 || info.Token == 0 {
+	if info.Proto != wire.Version || info.Token == 0 {
 		return nil, fmt.Errorf("fleet: session %d is not resumable (proto %d, token %#x)", info.ID, info.Proto, info.Token)
 	}
 	if s.closed.Load() {
@@ -102,7 +103,6 @@ func (s *Server) NewRestorer(info RestoredSession) (*Restorer, error) {
 	sess := &session{
 		id:        info.ID,
 		srv:       s,
-		proto:     info.Proto,
 		token:     info.Token,
 		vehicle:   info.Vehicle,
 		om:        om,

@@ -16,19 +16,19 @@
 //
 //	accepted → awaiting-hello → streaming ⇄ parked → draining → closed
 //
-// A version-1 session lives and dies with its TCP connection, exactly
-// as before. A version-2 session survives it: frames arrive as
+// A session survives its TCP connection: frames arrive as
 // sequence-numbered, checksummed batches which the server acknowledges
 // cumulatively; a lost connection parks the session — monitor state
 // intact, keyed by a resume token — for a grace window, and a Resume
 // handshake reattaches it, replaying unseen events and telling the
-// client where to retransmit from. Malformed records are quarantined
-// against a per-session error budget instead of killing the session,
-// and load shedding or bus silence surfaces as explicit gap events.
+// client where to retransmit from. Malformed and out-of-place records
+// are quarantined against a per-session error budget instead of killing
+// the session, and load shedding or bus silence surfaces as explicit
+// gap events.
 //
 // A session drains — evaluates everything queued, closes the monitor,
-// and reports a Verdict — on three paths: the client's Finish record,
-// the client's disconnect (v1), or server shutdown.
+// and reports a Verdict — on two paths: the client's FinishSeq record
+// or server shutdown.
 package fleet
 
 import (
@@ -82,18 +82,18 @@ type Config struct {
 	// client through TCP, preserving completeness.
 	DropWhenFull bool
 	// ErrorBudget bounds malformed records quarantined per attachment
-	// before the connection is cut (v2 resumes; v1 dies). Zero selects
-	// the default (16).
+	// before the connection is cut (the session parks for resume). Zero
+	// selects the default (16).
 	ErrorBudget int
-	// ResumeGrace is how long a detached v2 session's monitor state is
+	// ResumeGrace is how long a detached session's monitor state is
 	// retained awaiting a Resume before it is reaped. Zero selects the
 	// default (30s).
 	ResumeGrace time.Duration
 	// IdleTimeout cuts a connection that produced no record for this
-	// long; a v2 session then parks for resume, a v1 session dies.
+	// long; the session then parks for resume.
 	// Zero disables the timeout.
 	IdleTimeout time.Duration
-	// SilenceGap, when positive, makes v2 sessions emit a gap event
+	// SilenceGap, when positive, makes sessions emit a gap event
 	// whenever consecutive frame timestamps are further apart than
 	// this — the bus went quiet or the capture has a hole.
 	SilenceGap time.Duration
@@ -132,7 +132,7 @@ type Config struct {
 	// applied frame run and event at the cost of coupling ingest to
 	// archive I/O. Implied (and forced) by Ledger.
 	ArchiveBackpressure bool
-	// Ledger, when not nil, makes the server crash-safe: every v2
+	// Ledger, when not nil, makes the server crash-safe: every
 	// session grant, acknowledged watermark and verdict is recorded
 	// durably before the protocol message that promises it (see the
 	// Ledger interface for the ordering contract), and NewRestorer can
@@ -217,7 +217,7 @@ type specEntry struct {
 	frules []flight.Ref
 }
 
-// parked is one detached v2 session awaiting resume, with the grace
+// parked is one detached session awaiting resume, with the grace
 // timer that reaps it.
 type parked struct {
 	sess  *session
@@ -242,7 +242,7 @@ type Server struct {
 
 	shards [numShards]shard
 
-	// parkMu guards the v2 resume tables: attached sessions by token
+	// parkMu guards the resume tables: attached sessions by token
 	// (for force-detach on a racing resume) and parked sessions by
 	// token (for claim and reap).
 	parkMu   sync.Mutex
@@ -334,7 +334,7 @@ func NewServer(cfg Config) (*Server, error) {
 			}
 			return float64(opened - closed)
 		})
-	reg.GaugeFunc("cpsmon_fleet_sessions_parked", "Detached v2 sessions awaiting resume.",
+	reg.GaugeFunc("cpsmon_fleet_sessions_parked", "Detached sessions awaiting resume.",
 		func() float64 {
 			s.parkMu.Lock()
 			n := len(s.parkedBy)
@@ -516,11 +516,9 @@ func (s *Server) register(sess *session) {
 	sh.mu.Lock()
 	sh.sessions[sess.id] = sess
 	sh.mu.Unlock()
-	if sess.proto >= 2 {
-		s.parkMu.Lock()
-		s.attached[sess.token] = sess
-		s.parkMu.Unlock()
-	}
+	s.parkMu.Lock()
+	s.attached[sess.token] = sess
+	s.parkMu.Unlock()
 }
 
 // unregister detaches the session from the live tables and, when park
@@ -531,9 +529,6 @@ func (s *Server) unregister(sess *session, park bool) {
 	sh.mu.Lock()
 	delete(sh.sessions, sess.id)
 	sh.mu.Unlock()
-	if sess.proto < 2 {
-		return
-	}
 	s.parkMu.Lock()
 	delete(s.attached, sess.token)
 	// During a drain only sessions owed a verdict delivery may park;
@@ -743,9 +738,9 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 func (s *Server) handleHello(conn net.Conn, br *bufio.Reader, hello wire.Hello) {
-	if hello.Version < wire.MinVersion || hello.Version > wire.Version {
-		s.refuse(conn, fmt.Sprintf("protocol version %d unsupported (server speaks %d..%d)",
-			hello.Version, wire.MinVersion, wire.Version))
+	if hello.Version != wire.Version {
+		s.refuse(conn, fmt.Sprintf("protocol version %d unsupported (server speaks %d)",
+			hello.Version, wire.Version))
 		return
 	}
 	if s.closed.Load() {
@@ -767,7 +762,7 @@ func (s *Server) handleHello(conn net.Conn, br *bufio.Reader, hello wire.Hello) 
 	sess := &session{
 		id:        s.nextID.Add(1),
 		srv:       s,
-		proto:     hello.Version,
+		token:     newToken(),
 		om:        om,
 		entry:     entry,
 		vehicle:   hello.Vehicle,
@@ -776,28 +771,23 @@ func (s *Server) handleHello(conn net.Conn, br *bufio.Reader, hello wire.Hello) 
 		tally:     make(map[string]*ruleTally, len(entry.rules)),
 	}
 	sess.setupFlight()
-	var ack wire.Record = wire.HelloAck{Session: sess.id}
-	if sess.proto >= 2 {
-		sess.token = newToken()
-		if led := s.cfg.Ledger; led != nil {
-			// The grant is durable before the client can hold it, so a
-			// granted token always resolves to something after a crash.
-			if err := led.SessionOpened(sess.id, sess.token, sess.proto, sess.vehicle, hello.Spec); err != nil {
-				s.stats.ledgerErrors.Add(1)
-				om.Close()
-				s.refuse(conn, fmt.Sprintf("session ledger: %v", err))
-				return
-			}
+	if led := s.cfg.Ledger; led != nil {
+		// The grant is durable before the client can hold it, so a
+		// granted token always resolves to something after a crash.
+		if err := led.SessionOpened(sess.id, sess.token, wire.Version, sess.vehicle, hello.Spec); err != nil {
+			s.stats.ledgerErrors.Add(1)
+			om.Close()
+			s.refuse(conn, fmt.Sprintf("session ledger: %v", err))
+			return
 		}
-		ack = wire.SessionGrant{Session: sess.id, Token: sess.token, Epoch: s.cfg.Epoch}
 	}
 	s.stats.sessionsOpened.Add(1)
-	s.attach(sess, conn, br, ack)
+	s.attach(sess, conn, br, wire.SessionGrant{Session: sess.id, Token: sess.token, Epoch: s.cfg.Epoch})
 }
 
 func (s *Server) handleResume(conn net.Conn, br *bufio.Reader, res wire.Resume) {
-	if res.Version < 2 || res.Version > wire.Version {
-		s.refuse(conn, fmt.Sprintf("protocol version %d unsupported for resume (server speaks 2..%d)",
+	if res.Version != wire.Version {
+		s.refuse(conn, fmt.Sprintf("protocol version %d unsupported for resume (server speaks %d)",
 			res.Version, wire.Version))
 		return
 	}

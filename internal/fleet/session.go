@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -27,10 +26,10 @@ const (
 	stateClosed
 )
 
-// item is one queued unit of ingest work: a run of frames plus the
-// moment it entered the queue, for latency accounting. A version-2
-// item carries its batch sequence number; the finish marker carries
-// the client's declared final sequence instead of frames.
+// item is one queued unit of ingest work: a run of frames, its batch
+// sequence number and the moment it entered the queue, for latency
+// accounting. The finish marker carries the client's declared final
+// sequence instead of frames.
 type item struct {
 	frames []can.Frame
 	seq    uint64
@@ -51,21 +50,19 @@ type ruleTally struct {
 	violations, real, transient, negligible uint32
 }
 
-// session is one monitored vehicle. For a version-1 peer its life is
-// one TCP connection, exactly as before. For a version-2 peer the
-// session outlives connections: each connection is an attachment (a
-// reader goroutine decoding records into a bounded queue plus a worker
-// goroutine feeding the monitor and writing acks/events back), and
-// between attachments the session parks in the server's resume table,
-// monitor state intact, until the grace window expires.
+// session is one monitored vehicle. A session outlives connections:
+// each connection is an attachment (a reader goroutine decoding records
+// into a bounded queue plus a worker goroutine feeding the monitor and
+// writing acks/events back), and between attachments the session parks
+// in the server's resume table, monitor state intact, until the grace
+// window expires.
 //
 // The reader owns the connection's read half; the worker owns all
 // writes after the handshake grant, so no write lock is needed.
 type session struct {
 	id      uint64
 	srv     *Server
-	proto   uint16
-	token   uint64 // resume key, v2 only
+	token   uint64 // resume key
 	vehicle string
 
 	om    *core.OnlineMonitor
@@ -99,15 +96,15 @@ type session struct {
 	queue      chan item
 	workerDone chan struct{}
 
-	// endMu guards the attachment outcome: abort is a terminal
-	// protocol failure (the session dies with an Error record),
-	// suspended means the connection was lost but the session should
-	// park for resume. Both reader and worker may end an attachment.
+	// endMu guards the attachment outcome: abort is a terminal worker
+	// failure (the session dies with an Error record), suspended means
+	// the connection was lost but the session should park for resume.
+	// Both reader and worker may suspend an attachment.
 	endMu     sync.Mutex
 	abort     error
 	suspended bool
 
-	// v2 sequencing. lastEnq is reader-owned within an attachment;
+	// Sequencing. lastEnq is reader-owned within an attachment;
 	// lastApplied and events are worker-owned; resumeFrom is set by
 	// the resume handshake before the worker starts. events retains
 	// every emitted event so a resume can replay the unseen tail;
@@ -216,7 +213,7 @@ func (sess *session) run() (park bool) {
 	sess.conn.Close()
 
 	abort, _ := sess.outcome()
-	if sess.proto >= 2 && abort == nil {
+	if abort == nil {
 		if !sess.srv.closed.Load() {
 			// Park: a finalized session re-parks so a client that missed
 			// the verdict can resume and re-fetch it; an unfinalized one
@@ -235,8 +232,9 @@ func (sess *session) run() (park bool) {
 	return false
 }
 
-// read decodes records until Finish, disconnect, protocol error or
-// server shutdown. It never writes to the connection.
+// read decodes records until FinishSeq, disconnect, a sequence hole,
+// an exhausted error budget or server shutdown. It never writes to the
+// connection.
 func (sess *session) read() {
 	for {
 		if d := sess.srv.cfg.IdleTimeout; d > 0 {
@@ -244,8 +242,14 @@ func (sess *session) read() {
 		}
 		rec, err := wire.Read(sess.br)
 		if err != nil {
+			if sess.srv.ctx.Err() != nil {
+				// Server shutdown: the deadline sweep unparked us. Drain
+				// what is queued and verdict the session.
+				sess.state.Store(stateDraining)
+				return
+			}
 			var mal *wire.MalformedError
-			if sess.srv.ctx.Err() == nil && errors.As(err, &mal) {
+			if errors.As(err, &mal) {
 				// Framing held — the stream is still at a record
 				// boundary — so skip the record and charge the budget.
 				if sess.quarantine() {
@@ -253,34 +257,13 @@ func (sess *session) read() {
 				}
 				return
 			}
-			sess.readFailed(err)
+			// Disconnect, timeout, or a broken frame header: the byte
+			// stream is unusable, but a resume restores framing.
+			sess.setSuspend()
 			return
 		}
 		switch rec := rec.(type) {
-		case wire.FrameBatch:
-			if sess.proto >= 2 {
-				if !sess.unexpected(rec) {
-					return
-				}
-				continue
-			}
-			if len(rec.Frames) > 0 {
-				sess.enqueue(item{frames: rec.Frames, enq: time.Now()})
-			}
-		case wire.Finish:
-			if sess.proto >= 2 {
-				if !sess.unexpected(rec) {
-					return
-				}
-				continue
-			}
-			sess.state.Store(stateDraining)
-			return
 		case wire.SeqBatch:
-			if sess.proto < 2 {
-				sess.setAbort(fmt.Errorf("version-2 %T record on a version-1 session", rec))
-				return
-			}
 			if rec.Seq <= sess.lastEnq {
 				// Replayed duplicate (the client could not see our ack);
 				// already applied or queued, so discard.
@@ -306,37 +289,14 @@ func (sess *session) read() {
 			}
 			return
 		default:
-			if !sess.unexpected(rec) {
+			// A validly-decoded record with no business mid-stream:
+			// corruption can flip a type byte into another legal record,
+			// so it is quarantined like a malformed one.
+			if !sess.quarantine() {
 				return
 			}
 		}
 	}
-}
-
-// readFailed classifies a wire.Read error and ends the attachment
-// accordingly: malformed records are quarantined up to the error
-// budget, transport failures suspend a v2 session for resume, and
-// everything is terminal for a v1 session.
-func (sess *session) readFailed(err error) {
-	if sess.srv.ctx.Err() != nil {
-		// Server shutdown: the deadline sweep unparked us. Drain what
-		// is queued and verdict the session.
-		sess.state.Store(stateDraining)
-		return
-	}
-	if sess.proto >= 2 {
-		// Disconnect, timeout, or a broken frame header: the byte
-		// stream is unusable, but a resume restores framing.
-		sess.setSuspend()
-		return
-	}
-	if errors.Is(err, io.EOF) {
-		// Disconnect without Finish: evaluate what arrived, but the
-		// client is gone — no verdict owed.
-		sess.setAbort(errors.New("client disconnected before finish"))
-		return
-	}
-	sess.setAbort(err)
 }
 
 // quarantine accounts one skipped record against the attachment's
@@ -352,30 +312,15 @@ func (sess *session) quarantine() bool {
 	if sess.quarantined <= budget {
 		return true
 	}
-	if sess.proto >= 2 {
-		sess.setSuspend()
-	} else {
-		sess.setAbort(fmt.Errorf("%d malformed records exceed the session error budget", sess.quarantined))
-	}
-	return false
-}
-
-// unexpected handles a validly-decoded record that has no business
-// mid-stream. On a v2 session it is quarantined — corruption can flip
-// a type byte into another valid record — on v1 it is terminal. It
-// reports whether reading should continue.
-func (sess *session) unexpected(rec wire.Record) bool {
-	if sess.proto >= 2 {
-		return sess.quarantine()
-	}
-	sess.setAbort(fmt.Errorf("unexpected %T record mid-stream", rec))
+	// Over budget: cut the attachment; a resume starts a fresh budget.
+	sess.setSuspend()
 	return false
 }
 
 // enqueue hands an item to the worker. A full queue either sheds the
 // batch (drop mode) or blocks — explicit backpressure through TCP —
 // until the worker catches up or the server shuts down. Both outcomes
-// are accounted; a v2 shed additionally records a gap so the verdict
+// are accounted; a shed additionally records a gap so the verdict
 // stream admits the hole.
 func (sess *session) enqueue(it item) {
 	select {
@@ -396,12 +341,12 @@ func (sess *session) enqueue(it item) {
 	}
 }
 
-// shedItem accounts a dropped batch and, on v2, records the gap it
-// leaves so the worker can fold it into the event stream.
+// shedItem accounts a dropped batch and records the gap it leaves so
+// the worker can fold it into the event stream.
 func (sess *session) shedItem(it item, n uint64) {
 	sess.dropped.Add(n)
 	sess.srv.stats.framesDropped.Add(n)
-	if sess.proto < 2 || it.seq == 0 || len(it.frames) == 0 {
+	if len(it.frames) == 0 {
 		return
 	}
 	g := gapInfo{n: n, from: it.frames[0].Time, to: it.frames[len(it.frames)-1].Time}
@@ -415,8 +360,9 @@ func (sess *session) shedItem(it item, n uint64) {
 
 // work drains the queue into the monitor, emitting events as they
 // become decidable, then settles the attachment: a verdict after
-// Finish or shutdown drain, an error record after a protocol failure,
-// or a silent park when the transport died and a resume is expected.
+// FinishSeq or shutdown drain, an error record after a monitor or
+// ledger failure, or a silent park when the transport died and a
+// resume is expected.
 func (sess *session) work() {
 	defer close(sess.workerDone)
 	stats := &sess.srv.stats
@@ -425,7 +371,7 @@ func (sess *session) work() {
 	// applying and let the verdict park for resume instead.
 	draining := func() bool { return sess.srv.ctx.Err() != nil }
 
-	if sess.proto >= 2 && !sess.replayEvents() && !draining() {
+	if !sess.replayEvents() && !draining() {
 		sess.abandon()
 		return
 	}
@@ -441,7 +387,7 @@ func (sess *session) work() {
 	// a staleness bound otherwise. The client prunes its replay buffer
 	// only on acks, so everything past the last watermark is still in
 	// its hands if this process dies.
-	ledgered := sess.proto >= 2 && sess.srv.cfg.Ledger != nil
+	ledgered := sess.srv.cfg.Ledger != nil
 	var commitC <-chan time.Time
 	if ledgered {
 		t := time.NewTicker(sess.srv.cfg.WatermarkInterval)
@@ -511,7 +457,7 @@ func (sess *session) work() {
 				sess.abandon()
 				return
 			}
-			if sess.proto >= 2 && it.seq != sess.lastApplied {
+			if it.seq != sess.lastApplied {
 				// The client declared a final sequence we never saw:
 				// the transport hid a loss. Force a resume instead of
 				// issuing a short verdict.
@@ -532,7 +478,7 @@ func (sess *session) work() {
 			doFinal = true
 			break
 		}
-		if sess.proto >= 2 && !sess.foldShed(it.seq) && !draining() {
+		if !sess.foldShed(it.seq) && !draining() {
 			sess.abandon()
 			return
 		}
@@ -557,11 +503,9 @@ func (sess *session) work() {
 		if sampled {
 			tEmit = time.Now()
 		}
-		if sess.proto >= 2 {
-			// The batch is fully applied: advance before emitting so a
-			// write failure (→ resume → replay) cannot re-apply it.
-			sess.lastApplied = it.seq
-		}
+		// The batch is fully applied: advance before emitting so a
+		// write failure (→ resume → replay) cannot re-apply it.
+		sess.lastApplied = it.seq
 		ok := true
 		for _, w := range out {
 			if !sess.emitWire(w) {
@@ -576,31 +520,21 @@ func (sess *session) work() {
 		if sampled {
 			sess.recordFlight(it, tApply, tEmit, e2e)
 		}
-		if ok && sess.proto >= 2 && !ledgered {
+		if ok && !ledgered {
 			ok = wire.Write(sess.bw, wire.Ack{Seq: sess.lastApplied}) == nil
 		}
 		if !ok || sess.bw.Flush() != nil {
 			if draining() {
 				continue // dead client during drain; keep applying
 			}
-			if sess.proto >= 2 {
-				sess.setSuspend()
-				sess.abandon()
-				return
-			}
-			sess.fail(errors.New("event write failed"))
+			sess.setSuspend()
+			sess.abandon()
 			return
 		}
 	}
 	stats.framesRejected.Add(sess.rejected)
 
-	abort, suspended := sess.outcome()
-	if abort != nil {
-		// Reader-side failure: best-effort error record, no verdict.
-		wire.Write(sess.bw, wire.Error{Msg: abort.Error()})
-		sess.bw.Flush()
-		return
-	}
+	_, suspended := sess.outcome()
 	if !doFinal && suspended && !draining() {
 		// Park for resume. The grant a resume earns acknowledges
 		// lastApplied, and an acknowledgement the ledger cannot back
@@ -611,7 +545,7 @@ func (sess *session) work() {
 		}
 		return
 	}
-	if !doFinal && sess.proto >= 2 && sess.srv.cfg.Ledger != nil {
+	if !doFinal && ledgered {
 		// A shutdown drain reached a session whose client never said
 		// Finish. Without a ledger this process is the session's only
 		// life, so a partial verdict beats none — but with one the
@@ -626,7 +560,7 @@ func (sess *session) work() {
 		return
 	}
 	sess.finalize()
-	if sess.proto >= 2 && sess.delivered && draining() {
+	if sess.delivered && draining() {
 		// The drain is about to count this session done for good, so a
 		// successful write is not proof enough — wait for the client's
 		// verdict ack (a dead peer fails the read instead and the
@@ -647,7 +581,7 @@ func (sess *session) work() {
 // No-op when the session has no ledger or nothing new applied.
 func (sess *session) syncLedger() bool {
 	led := sess.srv.cfg.Ledger
-	if led == nil || sess.proto < 2 || sess.lastApplied == sess.ledgeredSeq {
+	if led == nil || sess.lastApplied == sess.ledgeredSeq {
 		return true
 	}
 	t0 := time.Now()
@@ -717,7 +651,7 @@ func (sess *session) apply(frames []can.Frame) ([]wire.Event, error) {
 			start = i + 1
 			continue
 		}
-		if silence > 0 && sess.proto >= 2 && saw && f.Time-last > silence {
+		if silence > 0 && saw && f.Time-last > silence {
 			if err := flush(i); err != nil {
 				return nil, err
 			}
@@ -814,10 +748,10 @@ func (sess *session) archiveRun(run []can.Frame) {
 	sess.srv.archiveFrames(sess.id, sess.vehicle, run)
 }
 
-// emitWire writes one event to the client. On a v2 session the event
-// is first retained (and sequence-numbered) so a resume can replay it;
-// a write failure therefore only suspends the attachment, never loses
-// the event. It reports false when the write failed.
+// emitWire writes one event to the client. The event is first retained
+// (and sequence-numbered) so a resume can replay it; a write failure
+// therefore only suspends the attachment, never loses the event. It
+// reports false when the write failed.
 func (sess *session) emitWire(w wire.Event) bool {
 	// emitWire runs exactly once per produced event — resume replays
 	// and verdict re-deliveries bypass it — so it is the exactly-once
@@ -833,17 +767,9 @@ func (sess *session) emitWire(w wire.Event) bool {
 		}
 		sess.srv.archiveEvent(sess.id, sess.vehicle, w)
 	}
-	var err error
-	if sess.proto >= 2 {
-		sess.events = append(sess.events, w)
-		err = wire.Write(sess.bw, wire.SeqEvent{Seq: uint64(len(sess.events)), Event: w})
-	} else {
-		err = wire.Write(sess.bw, w)
-	}
-	if err != nil {
-		if sess.proto >= 2 {
-			sess.setSuspend()
-		}
+	sess.events = append(sess.events, w)
+	if wire.Write(sess.bw, wire.SeqEvent{Seq: uint64(len(sess.events)), Event: w}) != nil {
+		sess.setSuspend()
 		return false
 	}
 	sess.srv.stats.eventsEmitted.Add(1)
@@ -903,9 +829,9 @@ func (sess *session) foldShed(next uint64) bool {
 	}
 }
 
-// finalize closes the monitor and issues the verdict. On v2 the
-// verdict record is retained so a resume within the grace window can
-// re-deliver it even if this write never reaches the client.
+// finalize closes the monitor and issues the verdict. The verdict
+// record is retained so a resume within the grace window can re-deliver
+// it even if this write never reaches the client.
 func (sess *session) finalize() {
 	if sess.shadow != nil {
 		// A session finishing mid-shadow resolves under its primary
@@ -936,29 +862,22 @@ func (sess *session) finalize() {
 		}
 		sess.srv.archiveVerdict(sess.id, sess.vehicle, v)
 	}
-	if sess.proto >= 2 {
-		sess.verdictRec = &wire.VerdictSeq{EventSeq: uint64(len(sess.events)), Verdict: v}
-		if led := sess.srv.cfg.Ledger; led != nil {
-			// The verdict is durable — archive flushed, ledger record
-			// fsync'd — before the client can see it, so a crash can
-			// never un-decide a verdict a client already holds.
-			sess.srv.archBarrier()
-			if err := led.VerdictReached(sess.id, sess.verdictRec.EventSeq, v); err != nil {
-				sess.srv.stats.ledgerErrors.Add(1)
-			}
+	sess.verdictRec = &wire.VerdictSeq{EventSeq: uint64(len(sess.events)), Verdict: v}
+	if led := sess.srv.cfg.Ledger; led != nil {
+		// The verdict is durable — archive flushed, ledger record
+		// fsync'd — before the client can see it, so a crash can
+		// never un-decide a verdict a client already holds.
+		sess.srv.archBarrier()
+		if err := led.VerdictReached(sess.id, sess.verdictRec.EventSeq, v); err != nil {
+			sess.srv.stats.ledgerErrors.Add(1)
 		}
-		sess.finalized = true
-		sess.srv.stats.sessionsClosed.Add(1)
-		if wire.Write(sess.bw, *sess.verdictRec) == nil && sess.bw.Flush() == nil {
-			sess.delivered = true
-			sess.srv.logDelivered(sess)
-		}
-		return
 	}
-	if err := wire.Write(sess.bw, v); err != nil {
-		return
+	sess.finalized = true
+	sess.srv.stats.sessionsClosed.Add(1)
+	if wire.Write(sess.bw, *sess.verdictRec) == nil && sess.bw.Flush() == nil {
+		sess.delivered = true
+		sess.srv.logDelivered(sess)
 	}
-	sess.bw.Flush()
 }
 
 // confirmDelivery downgrades delivered unless the client acks the

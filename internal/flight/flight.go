@@ -90,8 +90,8 @@ type Span struct {
 	Stage string `json:"stage"`
 	// Rule is set on per-rule eval spans, empty otherwise.
 	Rule string `json:"rule,omitempty"`
-	// Seq is the batch sequence the span belongs to (0 on v1 sessions
-	// and for spans not tied to a batch).
+	// Seq is the batch sequence the span belongs to (0 for spans not
+	// tied to a batch).
 	Seq uint64 `json:"seq"`
 	// Start is the span's wall-clock start in Unix nanoseconds.
 	Start int64 `json:"start_unix_nano"`

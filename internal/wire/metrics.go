@@ -10,7 +10,9 @@ import (
 // record type, plus CRC verification failures. The counters are
 // pre-created per type byte at Instrument time, so the per-record cost
 // is an array index and an atomic add — the codec hot path stays
-// allocation-free with metrics enabled.
+// allocation-free with metrics enabled. Slot 0 (no record type uses
+// byte 0) holds the type="unknown" series every unassigned or retired
+// type byte a peer sends is counted under.
 type Metrics struct {
 	rxRecords [typeVerdictSeq + 1]*obs.Counter
 	txRecords [typeVerdictSeq + 1]*obs.Counter
@@ -30,12 +32,6 @@ func typeName(typ byte) string {
 	switch typ {
 	case typeHello:
 		return "hello"
-	case typeHelloAck:
-		return "hello_ack"
-	case typeFrameBatch:
-		return "frame_batch"
-	case typeFinish:
-		return "finish"
 	case typeEvent:
 		return "event"
 	case typeVerdict:
@@ -75,8 +71,12 @@ func Instrument(reg *obs.Registry) {
 		crcFails: reg.Counter("cpsmon_wire_crc_failures_total",
 			"Records rejected for a CRC-32C mismatch."),
 	}
-	for typ := byte(typeHello); typ <= typeVerdictSeq; typ++ {
-		t := obs.Label{Name: "type", Value: typeName(typ)}
+	for typ := byte(0); typ <= typeVerdictSeq; typ++ {
+		name := typeName(typ)
+		if name == "unknown" && typ != 0 {
+			continue // counted in slot 0
+		}
+		t := obs.Label{Name: "type", Value: name}
 		m.rxRecords[typ] = reg.Counter("cpsmon_wire_records_total",
 			"Records moved by the wire codec.", obs.Label{Name: "dir", Value: "rx"}, t)
 		m.txRecords[typ] = reg.Counter("cpsmon_wire_records_total",
@@ -89,21 +89,32 @@ func Instrument(reg *obs.Registry) {
 	metrics.Store(m)
 }
 
+// slot maps a type byte to its counter index: the byte itself for a
+// record type, 0 (the "unknown" series) for anything else.
+func (m *Metrics) slot(typ byte) int {
+	if int(typ) < len(m.rxRecords) && m.rxRecords[typ] != nil {
+		return int(typ)
+	}
+	return 0
+}
+
 // countTx records one encoded record of n on-wire bytes.
 func countTx(typ byte, n int) {
-	if m := metrics.Load(); m != nil && int(typ) < len(m.txRecords) {
-		m.txRecords[typ].Inc()
-		m.txBytes[typ].Add(uint64(n))
+	if m := metrics.Load(); m != nil {
+		i := m.slot(typ)
+		m.txRecords[i].Inc()
+		m.txBytes[i].Add(uint64(n))
 	}
 }
 
 // countRx records one framed record of n on-wire bytes. It runs before
-// payload decoding, so malformed records are counted too — they moved
-// over the wire regardless.
+// payload decoding, so malformed records — unknown type bytes included
+// — are counted too: they moved over the wire regardless.
 func countRx(typ byte, n int) {
-	if m := metrics.Load(); m != nil && int(typ) < len(m.rxRecords) {
-		m.rxRecords[typ].Inc()
-		m.rxBytes[typ].Add(uint64(n))
+	if m := metrics.Load(); m != nil {
+		i := m.slot(typ)
+		m.rxRecords[i].Inc()
+		m.rxBytes[i].Add(uint64(n))
 	}
 }
 

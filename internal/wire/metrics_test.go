@@ -47,9 +47,11 @@ func TestCodecMetrics(t *testing.T) {
 		}
 	}
 	var txTotal, rxTotal uint64
-	for typ := byte(typeHello); typ <= typeVerdictSeq; typ++ {
-		txTotal += m.txBytes[typ].Value()
-		rxTotal += m.rxBytes[typ].Value()
+	for i := range m.txBytes {
+		if m.txBytes[i] != nil { // unassigned type bytes share slot 0
+			txTotal += m.txBytes[i].Value()
+			rxTotal += m.rxBytes[i].Value()
+		}
 	}
 	if txTotal != uint64(wireBytes) || rxTotal != uint64(wireBytes) {
 		t.Errorf("byte counters tx=%d rx=%d, want both %d", txTotal, rxTotal, wireBytes)
@@ -100,5 +102,37 @@ func TestCodecUninstrumentedIsFree(t *testing.T) {
 	}
 	if metrics.Load() != nil {
 		t.Fatal("gate not nil after Instrument(nil)")
+	}
+}
+
+// TestCodecMetricsUnknownType reads records whose type byte no record
+// uses — 0x00 (the 5-byte handshake 01 00 00 00 00), each retired type
+// and 0xFF — through an instrumented codec. Each must fail as an
+// unknown type and be counted under type="unknown", never reach a
+// missing counter.
+func TestCodecMetricsUnknownType(t *testing.T) {
+	reg := obs.NewRegistry()
+	Instrument(reg)
+	defer Instrument(nil)
+
+	typs := []byte{0x00, 0x02, 0x03, 0x04, 0xFF}
+	for _, typ := range typs {
+		_, err := Read(bytes.NewReader([]byte{1, 0, 0, 0, typ}))
+		var me *MalformedError
+		if !errors.As(err, &me) || !strings.Contains(err.Error(), "unknown record type") {
+			t.Errorf("type 0x%02X: err = %v, want a malformed unknown-type error", typ, err)
+		}
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`cpsmon_wire_records_total{dir="rx",type="unknown"} 5`,
+		`cpsmon_wire_bytes_total{dir="rx",type="unknown"} 25`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }

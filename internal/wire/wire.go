@@ -23,71 +23,54 @@
 //
 // # Session flow
 //
+// There is one protocol version, Version. A client opens with
+// Hello{Version} and receives a SessionGrant carrying a resume token
+// and the server epoch (or an Error: a server refuses any other
+// version). Data flows as sequence-numbered SeqBatch records which the
+// server acknowledges cumulatively with Ack records; events come back
+// as sequence-numbered SeqEvent records, and the stream ends with
+// FinishSeq → VerdictSeq.
+//
 //	client                          server
 //	  Hello{version,vehicle,spec} →
-//	                              ← HelloAck{session}   (or Error)
-//	  FrameBatch{frames} →
-//	  FrameBatch{frames} →        ← Event...            (as decidable)
+//	                              ← SessionGrant{session,token,0,epoch}
+//	  SeqBatch{seq,frames} →      ← Ack{seq}
+//	  SeqBatch{seq,frames} →      ← SeqEvent...         (as decidable)
 //	  ...
-//	  Finish{} →
-//	                              ← Event...            (drained)
-//	                              ← Verdict{rules,...}
+//	  FinishSeq{lastSeq} →        ← SeqEvent...         (drained)
+//	                              ← VerdictSeq{events,verdict}
 //
-// The protocol is versioned via the Hello record: a server refuses a
-// hello whose version it does not speak with an Error record.
-//
-// # Version 4: spec epochs
-//
-// Version 4 keeps every version-3 record and extends Verdict (and
-// therefore VerdictSeq) with a trailing spec-epoch field: the rollout
-// generation of the spec that produced the verdict, stamped by servers
-// running the spec registry's canary pipeline. The field is encoded
-// only when nonzero — a server with no registry produces byte-for-byte
-// the version-3 layout — and decoders accept the epoch-less layout,
-// reading epoch zero, so version-2 and version-3 peers interoperate
-// unchanged.
-//
-// # Version 3: server epochs
-//
-// Version 3 keeps every version-2 record and extends SessionGrant and
-// Resume with a trailing server-epoch field. The epoch is a counter the
-// server durably increments on every process start; a grant announces
-// it and a resume echoes it back, so a restarted server can tell a
-// token minted by a live predecessor (epoch at most its own — honoured
-// against recovered state) from one minted by a *newer* instance than
-// the state it recovered (epoch ahead of its own — refused, because
-// serving it would silently roll the session back). Decoders accept the
-// version-2 layout without the field, reading epoch zero, which every
-// server honours: version-2 peers interoperate unchanged.
-//
-// # Version 2: sequencing, acknowledgement and resume
-//
-// Version 2 keeps every version-1 record unchanged and adds a parallel
-// set of records for lossy, disconnecting transports. A v2 client opens
-// with Hello{Version: 2} and receives a SessionGrant (instead of a
-// HelloAck) carrying a resume token. Data then flows as sequence-
-// numbered, checksummed SeqBatch records which the server acknowledges
-// cumulatively with Ack records; events come back as sequence-numbered
-// SeqEvent records, and the stream ends with FinishSeq → VerdictSeq.
 // After a disconnect the client reconnects and sends Resume{token,
-// last event seq} in place of a Hello; the server re-grants the
+// last event seq, epoch} in place of a Hello; the server re-grants the
 // session, reports the highest batch it applied, and replays unseen
 // events, so both directions recover exactly-once delivery by sequence
-// dedup out of bounded replay buffers.
+// dedup out of bounded replay buffers. The epoch is a counter the
+// server durably increments on every process start: a grant announces
+// it and a resume echoes it back, so a restarted server can refuse a
+// token minted by a newer instance than the state it recovered.
 //
 //	client                          server
-//	  Resume{token,lastEventSeq} →
-//	                              ← SessionGrant{session,token,ackSeq}
+//	  Resume{token,lastEventSeq,epoch} →
+//	                              ← SessionGrant{session,token,ackSeq,epoch}
 //	                              ← SeqEvent...         (replayed tail)
 //	  SeqBatch{seq,frames} →      ← Ack{seq}
 //	  FinishSeq{lastSeq} →        ← VerdictSeq{events,verdict}
 //
-// Every v2 record carries a trailing CRC-32C over its type byte and
-// payload, so single flipped bits on a real link are rejected as
-// malformed instead of silently accepted. A record whose framing was
-// intact but whose payload fails to decode (or fails its checksum)
-// surfaces as a *MalformedError, letting tolerant readers quarantine
-// the record and keep the stream alive.
+// Every sequenced record (SeqBatch through VerdictSeq, types 0x08 and
+// up) carries a trailing CRC-32C over its type byte and payload, so single flipped bits on a
+// real link are rejected as malformed instead of silently accepted. A
+// record whose framing was intact but whose payload fails to decode (or
+// fails its checksum) surfaces as a *MalformedError, letting tolerant
+// readers quarantine the record and keep the stream alive.
+//
+// # Stored records
+//
+// Event and Verdict are not sent on a connection; they are the
+// encodings the archive and the session ledger store events and
+// verdicts in, and SeqEvent and VerdictSeq embed their field layouts.
+// A Verdict's trailing spec epoch is encoded only when nonzero, so
+// verdicts stored before spec epochs existed still decode, with epoch
+// zero.
 package wire
 
 import (
@@ -102,15 +85,10 @@ import (
 	"cpsmon/internal/can"
 )
 
-// Version is the newest protocol version this package speaks. It is
-// carried in every Hello and bumped on any change to the record layouts
-// below. MinVersion is the oldest version still accepted: version-1
-// peers interoperate with a version-2 server (they simply never see the
-// v2 record types).
-const (
-	Version    = 4
-	MinVersion = 1
-)
+// Version is the protocol version this package speaks. It is carried
+// in every Hello and Resume, and a server refuses any other value; it
+// is bumped on any change to the record layouts below.
+const Version = 4
 
 // MaxRecordSize bounds a single record on the wire (length prefix
 // included), so a corrupt or hostile peer cannot make the decoder
@@ -137,12 +115,11 @@ const ruleVerdictSize = 19
 const frameSize = 20
 
 // Record types, one per concrete Record implementation. Types 0x08 and
-// up are version-2 records: all of them carry a trailing CRC-32C.
+// up are the sequenced records: all of them carry a trailing CRC-32C.
+// 0x02–0x04 belonged to a retired unsequenced session flow and now
+// decode as unknown types.
 const (
 	typeHello        = 0x01
-	typeHelloAck     = 0x02
-	typeFrameBatch   = 0x03
-	typeFinish       = 0x04
 	typeEvent        = 0x05
 	typeVerdict      = 0x06
 	typeError        = 0x07
@@ -155,11 +132,11 @@ const (
 	typeVerdictSeq   = 0x0E
 )
 
-// checksummed reports whether a record type carries the trailing v2
+// checksummed reports whether a record type carries the trailing
 // CRC-32C.
 func checksummed(typ byte) bool { return typ >= typeSeqBatch && typ <= typeVerdictSeq }
 
-// crcTable is the Castagnoli table shared by all v2 records.
+// crcTable is the Castagnoli table shared by all checksummed records.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // EventKind distinguishes the two violation notifications.
@@ -173,8 +150,7 @@ const (
 	EventEnd EventKind = 2
 	// EventGap reports a hole in the monitored stream rather than a
 	// rule violation: a bus-silence stretch or shed frames. Start and
-	// End delimit the gap; Msg names its cause. Only sent to version-2
-	// sessions.
+	// End delimit the gap; Msg names its cause.
 	EventGap EventKind = 3
 )
 
@@ -192,8 +168,9 @@ func (k EventKind) String() string {
 	}
 }
 
-// Record is one protocol record. The concrete types are Hello,
-// HelloAck, FrameBatch, Finish, Event, Verdict and Error.
+// Record is one protocol record. The concrete types are Hello, Error,
+// the sequenced SeqBatch, Ack, Resume, SessionGrant, SeqEvent,
+// FinishSeq and VerdictSeq, and the stored Event and Verdict.
 type Record interface {
 	wireType() byte
 	appendPayload(buf []byte) []byte
@@ -217,47 +194,13 @@ func (h Hello) appendPayload(buf []byte) []byte {
 	return appendString(buf, h.Spec)
 }
 
-// HelloAck accepts a session and assigns its server-side identifier.
-type HelloAck struct {
-	Session uint64
-}
-
-func (HelloAck) wireType() byte { return typeHelloAck }
-
-func (a HelloAck) appendPayload(buf []byte) []byte {
-	return binary.LittleEndian.AppendUint64(buf, a.Session)
-}
-
-// FrameBatch carries a run of captured CAN frames in capture order.
-type FrameBatch struct {
-	Frames []can.Frame
-}
-
-func (FrameBatch) wireType() byte { return typeFrameBatch }
-
-func (b FrameBatch) appendPayload(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Frames)))
-	for _, f := range b.Frames {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Time))
-		buf = binary.LittleEndian.AppendUint32(buf, f.ID)
-		buf = append(buf, f.Data[:]...)
-	}
-	return buf
-}
-
-// Finish declares the end of the frame stream: the server drains the
-// monitor and answers with the remaining events and a Verdict.
-type Finish struct{}
-
-func (Finish) wireType() byte { return typeFinish }
-
-func (Finish) appendPayload(buf []byte) []byte { return buf }
-
 // Event is one incremental oracle notification. Begin events carry only
 // Rule and Time; End events additionally carry the closed violation
 // interval, its peak severity, message and triage class. The layout is
-// identical for both kinds (unused fields encode as zero) so that an
-// event stream has a single, pinned shape.
+// identical for all kinds (unused fields encode as zero) so that an
+// event stream has a single, pinned shape. On a connection events
+// travel inside SeqEvent; the bare record is the archive's stored
+// encoding.
 type Event struct {
 	Kind EventKind
 	Rule string
@@ -303,7 +246,9 @@ type RuleVerdict struct {
 }
 
 // Verdict closes a session: per-rule outcomes in rule-set order plus
-// the session's ingest accounting.
+// the session's ingest accounting. On a connection it travels inside
+// VerdictSeq; the bare record is the encoding the archive and the
+// session ledger store verdicts in.
 type Verdict struct {
 	Rules []RuleVerdict
 	// FramesIngested counts frames fed to the monitor; FramesDropped
@@ -311,9 +256,10 @@ type Verdict struct {
 	// refused for arriving out of time order.
 	FramesIngested, FramesDropped, FramesRejected uint64
 	// SpecEpoch is the rollout generation of the spec that produced
-	// this verdict (version 4), stamped by servers running the spec
-	// registry. Zero — the only value a registry-less server produces —
-	// is encoded as the absent version-3 layout, byte for byte.
+	// this verdict, stamped by servers running the spec registry. Zero
+	// — the only value a registry-less server produces — is encoded by
+	// omitting the field, the layout verdicts were stored in before
+	// spec epochs existed.
 	SpecEpoch uint64
 }
 
@@ -362,9 +308,9 @@ var ErrRemote = errors.New("wire: remote error")
 // Err converts the record into a Go error wrapping ErrRemote.
 func (e Error) Err() error { return fmt.Errorf("%w: %s", ErrRemote, e.Msg) }
 
-// SeqBatch is the version-2 FrameBatch: the same frame run, numbered
-// with a session-scoped sequence (starting at 1, incremented per batch)
-// and protected by the trailing CRC. The server acknowledges applied
+// SeqBatch carries a run of captured CAN frames in capture order,
+// numbered with a session-scoped sequence (starting at 1, incremented
+// per batch) and protected by the trailing CRC. The server acknowledges applied
 // batches cumulatively with Ack records and discards duplicates, so a
 // client replaying its unacknowledged tail after a resume delivers
 // every frame exactly once.
@@ -407,10 +353,10 @@ func (a Ack) appendPayload(buf []byte) []byte {
 // for the Hello on a reconnect, naming the session by the token from
 // the original SessionGrant and the last event sequence number the
 // client received (so the server replays only the unseen tail). Epoch
-// echoes the server epoch from the grant that minted the token (zero
-// from version-2 clients, which never saw one); a server refuses a
-// resume from an epoch ahead of its own, since honouring it would roll
-// the session back behind state the client has already observed.
+// echoes the server epoch from the grant that minted the token; a
+// server refuses a resume from an epoch ahead of its own, since
+// honouring it would roll the session back behind state the client has
+// already observed.
 type Resume struct {
 	Version      uint16
 	Token        uint64
@@ -429,13 +375,12 @@ func (r Resume) appendPayload(buf []byte) []byte {
 	return appendCRC(buf, at, typeResume)
 }
 
-// SessionGrant is the version-2 HelloAck, answering both Hello and
-// Resume: the session identifier, the resume token for later
-// reconnects, and AckSeq — the highest batch sequence the server has
-// applied (zero for a fresh session). After a resume the client
-// retransmits every buffered batch with a sequence above AckSeq.
-// Epoch (version 3) is the server's durable restart counter, echoed
-// back in later Resume records; zero means the server predates epochs.
+// SessionGrant answers both Hello and Resume: the session identifier,
+// the resume token for later reconnects, and AckSeq — the highest
+// batch sequence the server has applied (zero for a fresh session).
+// After a resume the client retransmits every buffered batch with a
+// sequence above AckSeq. Epoch is the server's durable restart
+// counter, echoed back in later Resume records.
 type SessionGrant struct {
 	Session uint64
 	Token   uint64
@@ -454,8 +399,8 @@ func (g SessionGrant) appendPayload(buf []byte) []byte {
 	return appendCRC(buf, at, typeSessionGrant)
 }
 
-// SeqEvent is the version-2 Event: the same notification, numbered with
-// a session-scoped event sequence (starting at 1) so the client can
+// SeqEvent carries one Event, numbered with a session-scoped event
+// sequence (starting at 1) so the client can
 // discard duplicates replayed after a resume and detect holes.
 type SeqEvent struct {
 	Seq   uint64
@@ -471,8 +416,8 @@ func (e SeqEvent) appendPayload(buf []byte) []byte {
 	return appendCRC(buf, at, typeSeqEvent)
 }
 
-// FinishSeq is the version-2 Finish: it declares end-of-stream and
-// names the sequence number of the final batch, so a server that has
+// FinishSeq declares end-of-stream and names the sequence number of the
+// final batch, so a server that has
 // not applied every batch (a loss the transport hid) can force a
 // resume instead of issuing a short verdict.
 type FinishSeq struct {
@@ -487,8 +432,8 @@ func (f FinishSeq) appendPayload(buf []byte) []byte {
 	return appendCRC(buf, at, typeFinishSeq)
 }
 
-// VerdictSeq is the version-2 Verdict. EventSeq is the total number of
-// events the session emitted; a client whose last received event
+// VerdictSeq carries the session's Verdict. EventSeq is the total
+// number of events the session emitted; a client whose last received event
 // sequence falls short has lost events in transit and resumes to
 // recover them before accepting the verdict.
 type VerdictSeq struct {
@@ -505,7 +450,7 @@ func (v VerdictSeq) appendPayload(buf []byte) []byte {
 	return appendCRC(buf, at, typeVerdictSeq)
 }
 
-// appendCRC seals a v2 payload: the trailing CRC-32C covers the type
+// appendCRC seals a checksummed payload: the trailing CRC-32C covers the type
 // byte and the payload bytes appended since at.
 func appendCRC(buf []byte, at int, typ byte) []byte {
 	c := crc32.Update(crc32.Checksum([]byte{typ}, crcTable), crcTable, buf[at:])
@@ -589,7 +534,7 @@ func Read(r io.Reader) (Record, error) {
 }
 
 // Decode decodes one record payload of the given type. The payload must
-// be exactly consumed; leftover bytes are an error. Version-2 record
+// be exactly consumed; leftover bytes are an error. Checksummed record
 // types verify their trailing CRC-32C before any field is read.
 func Decode(typ byte, payload []byte) (Record, error) {
 	if checksummed(typ) {
@@ -614,14 +559,6 @@ func Decode(typ byte, payload []byte) (Record, error) {
 		h.Vehicle = d.str()
 		h.Spec = d.str()
 		rec = h
-	case typeHelloAck:
-		rec = HelloAck{Session: d.u64()}
-	case typeFrameBatch:
-		b := FrameBatch{}
-		b.Frames = d.frames()
-		rec = b
-	case typeFinish:
-		rec = Finish{}
 	case typeEvent:
 		rec = d.event()
 	case typeVerdict:
@@ -635,13 +572,9 @@ func Decode(typ byte, payload []byte) (Record, error) {
 	case typeAck:
 		rec = Ack{Seq: d.u64()}
 	case typeResume:
-		r := Resume{Version: d.u16(), Token: d.u64(), LastEventSeq: d.u64()}
-		r.Epoch = d.optU64()
-		rec = r
+		rec = Resume{Version: d.u16(), Token: d.u64(), LastEventSeq: d.u64(), Epoch: d.u64()}
 	case typeSessionGrant:
-		g := SessionGrant{Session: d.u64(), Token: d.u64(), AckSeq: d.u64()}
-		g.Epoch = d.optU64()
-		rec = g
+		rec = SessionGrant{Session: d.u64(), Token: d.u64(), AckSeq: d.u64(), Epoch: d.u64()}
 	case typeSeqEvent:
 		e := SeqEvent{Seq: d.u64()}
 		e.Event = d.event()
@@ -806,7 +739,7 @@ func (d *decoder) str() string {
 }
 
 // optU64 reads a trailing optional u64: zero when the payload is
-// already exhausted (a version-2 encoder stopped here), the value
+// already exhausted (a verdict stored without a spec epoch), the value
 // otherwise. Record layouts may only use it for their final field, so
 // the strict trailing-bytes check still rejects any other remainder.
 func (d *decoder) optU64() uint64 {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
@@ -19,13 +20,6 @@ func sampleRecords() []Record {
 	return []Record{
 		Hello{Version: Version, Vehicle: "veh-042", Spec: "strict"},
 		Hello{}, // all-zero
-		HelloAck{Session: 7},
-		FrameBatch{},
-		FrameBatch{Frames: []can.Frame{
-			{Time: 30 * time.Millisecond, ID: 0x101, Data: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}},
-			{Time: 60 * time.Millisecond, ID: 0x205, Data: [8]byte{0xFF}},
-		}},
-		Finish{},
 		Event{Kind: EventBegin, Rule: "Rule1", Time: 200 * time.Millisecond},
 		Event{
 			Kind: EventEnd, Rule: "Headway", Time: 48 * time.Second,
@@ -51,6 +45,7 @@ func sampleRecords() []Record {
 		SeqBatch{Seq: 1},
 		SeqBatch{Seq: 42, Frames: []can.Frame{
 			{Time: 30 * time.Millisecond, ID: 0x101, Data: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}},
+			{Time: 60 * time.Millisecond, ID: 0x205, Data: [8]byte{0xFF}},
 		}},
 		Ack{Seq: 41},
 		Resume{Version: Version, Token: 0xFEEDFACE, LastEventSeq: 17},
@@ -123,19 +118,6 @@ func TestGoldenBytes(t *testing.T) {
 			"0f000000" + "01" + "0100" + "02007631" + "0600737472696374",
 		},
 		{
-			"helloack", HelloAck{Session: 0x0102030405060708},
-			"09000000" + "02" + "0807060504030201",
-		},
-		{
-			"framebatch",
-			FrameBatch{Frames: []can.Frame{{Time: 0x1122334455, ID: 0x305, Data: [8]byte{0xAA, 0, 0, 0, 0, 0, 0, 0xBB}}}},
-			"19000000" + "03" + "01000000" + "5544332211000000" + "05030000" + "aa000000000000bb",
-		},
-		{
-			"finish", Finish{},
-			"01000000" + "04",
-		},
-		{
 			"event-begin", Event{Kind: EventBegin, Rule: "R", Time: time.Millisecond},
 			"30000000" + "05" + "01" + "010052" + "40420f0000000000" +
 				"00000000" + "00000000" + "0000000000000000" + "0000000000000000" +
@@ -158,8 +140,8 @@ func TestGoldenBytes(t *testing.T) {
 				"0500000000000000" + "0100000000000000" + "0200000000000000",
 		},
 		{
-			// A nonzero spec epoch (version 4) appends one trailing u64;
-			// the zero-epoch "verdict" case above pins that the version-3
+			// A nonzero spec epoch appends one trailing u64; the
+			// zero-epoch "verdict" case above pins that the epoch-less
 			// layout is still produced byte for byte when no registry is
 			// stamping epochs.
 			"verdict-epoch",
@@ -230,48 +212,11 @@ func TestGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestVersion2CompatDecode pins the version-2 encodings of Resume and
-// SessionGrant — the exact bytes the PR-2 golden test froze, without
-// the epoch field — and requires current decoders to accept them with
-// epoch zero, so version-2 peers keep interoperating.
-func TestVersion2CompatDecode(t *testing.T) {
-	cases := []struct {
-		name string
-		hex  string
-		want Record
-	}{
-		{
-			"resume-v2",
-			"17000000" + "0a" + "0200" + "efbeadde00000000" + "0500000000000000" + "6e2d38b5",
-			Resume{Version: 2, Token: 0xDEADBEEF, LastEventSeq: 5},
-		},
-		{
-			"grant-v2",
-			"1d000000" + "0b" + "0900000000000000" + "efbeadde00000000" + "0400000000000000" + "85ac929a",
-			SessionGrant{Session: 9, Token: 0xDEADBEEF, AckSeq: 4},
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			buf, err := hex.DecodeString(c.hex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Read(bytes.NewReader(buf))
-			if err != nil {
-				t.Fatalf("Read: %v", err)
-			}
-			if !reflect.DeepEqual(got, c.want) {
-				t.Errorf("decoded %+v, want %+v", got, c.want)
-			}
-		})
-	}
-}
-
-// TestVersion3CompatDecode pins the version-3 verdict encodings — the
-// exact bytes the PR-1/PR-2 golden tests froze, without the spec-epoch
-// field — and requires current decoders to accept them with epoch
-// zero, so version-3 peers keep interoperating.
+// TestVersion3CompatDecode pins stored verdicts: the archive and the
+// session ledger hold verdicts in the Verdict encoding, and those
+// written before spec epochs existed lack the trailing epoch field.
+// Current decoders must accept these exact bytes with epoch zero, or a
+// recovery or recheck over an older archive or ledger would fail.
 func TestVersion3CompatDecode(t *testing.T) {
 	cases := []struct {
 		name string
@@ -319,17 +264,28 @@ func TestDecodeErrors(t *testing.T) {
 		buf  []byte
 	}{
 		{"empty record", []byte{0, 0, 0, 0}},
-		{"oversized record", []byte{0xFF, 0xFF, 0xFF, 0xFF, typeFinish}},
+		{"oversized record", []byte{0xFF, 0xFF, 0xFF, 0xFF, typeFinishSeq}},
 		{"truncated header", []byte{5, 0}},
 		{"truncated body", []byte{10, 0, 0, 0, typeHello, 1}},
 		{"unknown type", Marshal(recRaw{0x7E, nil})},
+		{"type 0x00", Marshal(recRaw{0x00, nil})},
+		{"type 0xFF", Marshal(recRaw{0xFF, nil})},
+		// 0x02–0x04 were the retired unsequenced HelloAck, FrameBatch
+		// and Finish records; their last golden encodings must now be
+		// refused as unknown types.
+		{"retired helloack", mustHex("09000000" + "02" + "0807060504030201")},
+		{"retired framebatch", mustHex("19000000" + "03" + "01000000" + "5544332211000000" + "05030000" + "aa000000000000bb")},
+		{"retired finish", mustHex("01000000" + "04")},
 		{"hello truncated", Marshal(recRaw{typeHello, []byte{1}})},
 		{"hello trailing", Marshal(recRaw{typeHello, []byte{1, 0, 0, 0, 0, 0, 0xAA}})},
-		{"batch count mismatch", Marshal(recRaw{typeFrameBatch, []byte{2, 0, 0, 0, 1, 2, 3}})},
-		{"batch absurd count", Marshal(recRaw{typeFrameBatch, []byte{0xFF, 0xFF, 0xFF, 0xFF}})},
+		{"batch count mismatch", Marshal(recRaw{typeSeqBatch, crcPayload(typeSeqBatch,
+			[]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 3})})},
+		{"batch absurd count", Marshal(recRaw{typeSeqBatch, crcPayload(typeSeqBatch,
+			binary.LittleEndian.AppendUint32([]byte{1, 0, 0, 0, 0, 0, 0, 0}, MaxFrameCount+1))})},
 		{"event bad kind", Marshal(recRaw{typeEvent, append([]byte{9, 0, 0}, make([]byte, 43)...)})},
 		{"verdict absurd count", Marshal(recRaw{typeVerdict, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}})},
-		{"finish trailing", Marshal(recRaw{typeFinish, []byte{1}})},
+		{"finish trailing", Marshal(recRaw{typeFinishSeq, crcPayload(typeFinishSeq,
+			[]byte{1, 0, 0, 0, 0, 0, 0, 0, 0xAA})})},
 		{"string overruns", Marshal(recRaw{typeError, []byte{0xFF, 0xFF, 'x'}})},
 		{"seqbatch flipped bit", flipBit(Marshal(SeqBatch{Seq: 3, Frames: []can.Frame{{ID: 1}}}), 80)},
 		{"seqbatch hostile count", Marshal(recRaw{typeSeqBatch, crcPayload(typeSeqBatch,
@@ -337,6 +293,10 @@ func TestDecodeErrors(t *testing.T) {
 		{"ack short for checksum", Marshal(recRaw{typeAck, []byte{1, 2}})},
 		{"ack bad checksum", Marshal(recRaw{typeAck, make([]byte, 12)})},
 		{"grant truncated", Marshal(recRaw{typeSessionGrant, crcPayload(typeSessionGrant, []byte{9, 0})})},
+		// The server epoch is a required field: the epoch-less Resume and
+		// SessionGrant layouts, with valid checksums, are truncated.
+		{"resume without epoch", mustHex("17000000" + "0a" + "0200" + "efbeadde00000000" + "0500000000000000" + "6e2d38b5")},
+		{"grant without epoch", mustHex("1d000000" + "0b" + "0900000000000000" + "efbeadde00000000" + "0400000000000000" + "85ac929a")},
 		{"verdictseq hostile count", Marshal(recRaw{typeVerdictSeq, crcPayload(typeVerdictSeq,
 			[]byte{6, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})})},
 		{"seqevent bad kind", Marshal(recRaw{typeSeqEvent, crcPayload(typeSeqEvent,
@@ -351,6 +311,15 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// mustHex decodes a hex test vector.
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 // recRaw emits an arbitrary (type, payload) pair for error-path tests.
 type recRaw struct {
 	typ     byte
@@ -360,7 +329,7 @@ type recRaw struct {
 func (r recRaw) wireType() byte                  { return r.typ }
 func (r recRaw) appendPayload(buf []byte) []byte { return append(buf, r.payload...) }
 
-// crcPayload seals a hand-built v2 payload with its correct checksum,
+// crcPayload seals a hand-built checksummed payload with its correct checksum,
 // so the decode error under test is the field failure, not the CRC.
 func crcPayload(typ byte, payload []byte) []byte {
 	sealed := appendCRC(append([]byte{}, payload...), 0, typ)
@@ -404,7 +373,7 @@ func TestMalformedClassification(t *testing.T) {
 	// Framing-level failures are not malformed records: an oversized
 	// length prefix and a truncated body stay unwrapped.
 	for _, buf := range [][]byte{
-		{0xFF, 0xFF, 0xFF, 0xFF, typeFinish},
+		{0xFF, 0xFF, 0xFF, 0xFF, typeFinishSeq},
 		Marshal(Ack{Seq: 7})[:6],
 	} {
 		_, err := Read(bytes.NewReader(buf))
