@@ -16,7 +16,7 @@ help:
 	@echo "  chaos       seeded transport-chaos suite under -race + wire fuzz smoke"
 	@echo "  crash       subprocess SIGKILL matrix: 16 seeded kills of a real monitord under -race"
 	@echo "  fuzz        brief fuzz passes (wire decoder, spec parser, archive segments)"
-	@echo "  fuzz-smoke  10s each of the segment, wire, ledger, spec-parser and stream-semantics fuzzers"
+	@echo "  fuzz-smoke  10s each of the segment, wire, record-log, ledger, registry, spec-parser and stream-semantics fuzzers"
 	@echo "  vet         go vet everything"
 
 test:
@@ -75,7 +75,8 @@ fuzz: fuzz-smoke
 
 # The deserializers that face bytes an attacker (or a crash) wrote:
 # the archive segment store recovering arbitrary tail damage, the wire
-# decoder, the session ledger fold — and, since `spec push` started
+# decoder, the shared record log's torn-tail rule, the session ledger
+# and spec registry folds over it — and, since `spec push` started
 # accepting operator uploads into a running daemon, the spec parser and
 # compiler (every refusal must be a positioned error, never a panic).
 # The stream-semantics fuzzer pins the one rule evaluator against the
@@ -84,7 +85,9 @@ fuzz: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSegment -fuzztime=10s ./internal/archive
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
+	$(GO) test -run=^$$ -fuzz=FuzzRecordLog -fuzztime=10s ./internal/recordlog
 	$(GO) test -run=^$$ -fuzz=FuzzLedgerFold -fuzztime=10s ./internal/durable
+	$(GO) test -run=^$$ -fuzz=FuzzRegistryFold -fuzztime=10s ./internal/specreg
 	$(GO) test -run=^$$ -fuzz=FuzzSpecParser -fuzztime=10s ./internal/speclang
 	$(GO) test -run=^$$ -fuzz=FuzzStreamSemantics -fuzztime=10s ./internal/speclang
 

@@ -191,13 +191,14 @@ func TestFlightStaysStandardLibraryOnly(t *testing.T) {
 // readable by offline tooling that links nothing of the transport.
 func TestArchiveStaysALeafOverWire(t *testing.T) {
 	allowed := map[string]bool{
-		"cpsmon/internal/wire": true,
-		"cpsmon/internal/can":  true,
-		"cpsmon/internal/obs":  true,
+		"cpsmon/internal/wire":      true,
+		"cpsmon/internal/can":       true,
+		"cpsmon/internal/obs":       true,
+		"cpsmon/internal/recordlog": true,
 	}
 	for ipath, files := range cpsmonImports(t, "internal/archive") {
 		if !allowed[ipath] {
-			t.Errorf("%v import %s: archive may depend only on wire, can, obs", files, ipath)
+			t.Errorf("%v import %s: archive may depend only on wire, can, obs, recordlog", files, ipath)
 		}
 	}
 	forbidden := map[string]bool{"net": true, "net/http": true}
@@ -233,31 +234,34 @@ func TestArchiveStaysALeafOverWire(t *testing.T) {
 // monitor) and never the system under test.
 func TestDurableDependencySurface(t *testing.T) {
 	allowed := map[string]bool{
-		"cpsmon/internal/fleet":   true,
-		"cpsmon/internal/archive": true,
-		"cpsmon/internal/wire":    true,
-		"cpsmon/internal/obs":     true,
+		"cpsmon/internal/fleet":     true,
+		"cpsmon/internal/archive":   true,
+		"cpsmon/internal/wire":      true,
+		"cpsmon/internal/obs":       true,
+		"cpsmon/internal/recordlog": true,
 	}
 	for ipath, files := range cpsmonImports(t, "internal/durable") {
 		if !allowed[ipath] {
-			t.Errorf("%v import %s: durable may depend only on fleet, archive, wire, obs", files, ipath)
+			t.Errorf("%v import %s: durable may depend only on fleet, archive, wire, obs, recordlog", files, ipath)
 		}
 	}
 }
 
 // TestSpecRegistryDependencySurface keeps the spec registry a leaf
 // over the metrics registry: it stores rule text and drives rollouts
-// through the Fleet interface, so it may import only internal/obs —
-// the daemon adapts the fleet server to it, never the other way
+// through the Fleet interface, so it may import only internal/obs and
+// the internal/recordlog framing its log is a fold over — the daemon
+// adapts the fleet server to it, never the other way
 // around. That is what lets offline tooling (monitorctl) read a
 // registry directory without linking the fleet server.
 func TestSpecRegistryDependencySurface(t *testing.T) {
 	allowed := map[string]bool{
-		"cpsmon/internal/obs": true,
+		"cpsmon/internal/obs":       true,
+		"cpsmon/internal/recordlog": true,
 	}
 	for ipath, files := range cpsmonImports(t, "internal/specreg") {
 		if !allowed[ipath] {
-			t.Errorf("%v import %s: specreg may depend only on obs", files, ipath)
+			t.Errorf("%v import %s: specreg may depend only on obs, recordlog", files, ipath)
 		}
 	}
 }
@@ -427,6 +431,37 @@ func TestSystemUnderTestDoesNotImportMonitor(t *testing.T) {
 					if ipath == bad {
 						t.Errorf("%s imports %s: the system under test must not depend on the monitor", path, ipath)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestOneRecordLog pins the single CRC-framed log: internal/recordlog
+// is a standard-library leaf, and the ledger and the spec registry
+// reach their framing, checksums and torn-tail repair only through it
+// — neither may grow a private CRC table again.
+func TestOneRecordLog(t *testing.T) {
+	if imps := cpsmonImports(t, "internal/recordlog"); len(imps) != 0 {
+		t.Errorf("internal/recordlog imports %v: it must stay a standard-library leaf", imps)
+	}
+	for _, pkg := range []string{"internal/durable", "internal/specreg"} {
+		entries, err := os.ReadDir(pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), ".go") {
+				continue
+			}
+			path := filepath.Join(pkg, e.Name())
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatalf("parse %s: %v", path, err)
+			}
+			for _, imp := range f.Imports {
+				if ipath, _ := strconv.Unquote(imp.Path.Value); ipath == "hash/crc32" {
+					t.Errorf("%s imports hash/crc32: frame records through internal/recordlog", path)
 				}
 			}
 		}

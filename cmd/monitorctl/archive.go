@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"text/tabwriter"
 
 	"cpsmon/internal/archive"
@@ -51,6 +55,132 @@ func runArchiveLs(dir string, out io.Writer) error {
 	}
 	fmt.Fprintf(tw, "total\t%d segments\t%d\t\t\t%d\n", len(cat.Segments()), records, bytes)
 	return tw.Flush()
+}
+
+// runArchiveExport prints the archive's audit trail: every archived
+// event and verdict, in archive order, as one JSON line. Capture-
+// relative at_s is the join key back into the archived frames; there
+// is no wall-clock stamp. The fleet archives each produced event and
+// verdict exactly once, crash restarts included, so the export holds
+// no duplicates.
+func runArchiveExport(dir string, out io.Writer) error {
+	cat, err := archive.OpenCatalog(dir)
+	if err != nil {
+		return err
+	}
+	it := cat.Iter(archive.Query{Kinds: archive.KindEvent | archive.KindVerdict})
+	defer it.Close()
+	bw := bufio.NewWriter(out)
+	enc := json.NewEncoder(bw)
+	for it.Next() {
+		r := it.Record()
+		var line any
+		if r.Kind == archive.KindVerdict {
+			line = newExportVerdict(r)
+		} else {
+			line = newExportEvent(r)
+		}
+		if err := enc.Encode(line); err != nil {
+			return err
+		}
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// jsonFloat marshals like a float64 but survives the non-finite peaks
+// a NaN- or Inf-injected signal produces: JSON has no Inf/NaN literal,
+// and one unmarshalable severity must not cost the export its event
+// line. Non-finite values are emitted as the quoted strings "+Inf",
+// "-Inf" and "NaN".
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(v, 'g', -1, 64)), nil
+	}
+	return json.Marshal(v)
+}
+
+// exportEvent is one event line: a violation opening or closing, or a
+// stream gap.
+type exportEvent struct {
+	Kind    string `json:"kind"` // begin, end or gap
+	Session uint64 `json:"session"`
+	Vehicle string `json:"vehicle,omitempty"`
+	Rule    string `json:"rule,omitempty"`
+	// AtSec is the event's capture-relative time in seconds: the
+	// violation start for begin events, the exclusive end otherwise.
+	AtSec float64 `json:"at_s"`
+	// Severity is the triage class of a closed violation; Peak its
+	// maximum absolute severity over the interval (quoted "+Inf" /
+	// "NaN" when an injected signal drove it non-finite).
+	Severity string    `json:"severity,omitempty"`
+	Peak     jsonFloat `json:"peak,omitempty"`
+	Msg      string    `json:"msg,omitempty"`
+}
+
+func newExportEvent(r *archive.Record) exportEvent {
+	e := r.Event
+	line := exportEvent{
+		Kind:    e.Kind.String(),
+		Session: r.Session,
+		Vehicle: r.Vehicle,
+		Rule:    e.Rule,
+		AtSec:   e.Time.Seconds(),
+		Msg:     e.Msg,
+	}
+	if e.Kind == wire.EventEnd {
+		line.Severity = core.Class(e.Class).String()
+		line.Peak = jsonFloat(e.Peak)
+	}
+	return line
+}
+
+// exportRule is one rule row of a verdict line.
+type exportRule struct {
+	Rule       string `json:"rule"`
+	Violated   bool   `json:"violated"`
+	Violations uint32 `json:"violations"`
+	Real       uint32 `json:"real"`
+	Transient  uint32 `json:"transient"`
+	Negligible uint32 `json:"negligible"`
+}
+
+// exportVerdict is one verdict line: the session's end-of-stream
+// outcome, one row per rule in rule-set order.
+type exportVerdict struct {
+	Kind    string       `json:"kind"` // always "verdict"
+	Session uint64       `json:"session"`
+	Vehicle string       `json:"vehicle,omitempty"`
+	Rules   []exportRule `json:"rules"`
+
+	FramesIngested uint64 `json:"frames_ingested"`
+	FramesDropped  uint64 `json:"frames_dropped"`
+	FramesRejected uint64 `json:"frames_rejected"`
+}
+
+func newExportVerdict(r *archive.Record) exportVerdict {
+	v := r.Verdict
+	line := exportVerdict{
+		Kind:           "verdict",
+		Session:        r.Session,
+		Vehicle:        r.Vehicle,
+		FramesIngested: v.FramesIngested,
+		FramesDropped:  v.FramesDropped,
+		FramesRejected: v.FramesRejected,
+	}
+	for _, rv := range v.Rules {
+		line.Rules = append(line.Rules, exportRule{
+			Rule: rv.Rule, Violated: rv.Violated,
+			Violations: rv.Violations, Real: rv.Real,
+			Transient: rv.Transient, Negligible: rv.Negligible,
+		})
+	}
+	return line
 }
 
 // runRecheck replays an archived time range through a freshly

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +17,7 @@ import (
 	"cpsmon/internal/rules"
 	"cpsmon/internal/sigdb"
 	"cpsmon/internal/speclang"
+	"cpsmon/internal/wire"
 )
 
 // buildArchive streams the test capture through a real fleet server
@@ -87,6 +90,116 @@ func TestRunArchiveLs(t *testing.T) {
 	}
 	if strings.Contains(out, "part") || strings.Contains(out, "torn") {
 		t.Errorf("cleanly closed archive listed as torn or unsealed:\n%s", out)
+	}
+}
+
+// TestRunArchiveExport pins the audit-trail export: one JSON line per
+// archived event and verdict, in the event/verdict schema, with
+// capture-relative at_s and no wall-clock stamp.
+func TestRunArchiveExport(t *testing.T) {
+	dir := buildArchive(t, "veh-x")
+	cat, err := archive.OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := cat.Iter(archive.Query{Kinds: archive.KindEvent})
+	archived := 0
+	for it.Next() {
+		archived++
+	}
+	it.Close()
+	if archived == 0 {
+		t.Fatal("fixture archived no events; the export assertions would be vacuous")
+	}
+
+	var sb strings.Builder
+	if err := runArchiveExport(dir, &sb); err != nil {
+		t.Fatalf("runArchiveExport: %v", err)
+	}
+	var verdicts, events int
+	for _, line := range strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("export line %q: %v", line, err)
+		}
+		if _, ok := rec["ts"]; ok {
+			t.Errorf("export line carries a wall-clock stamp: %q", line)
+		}
+		if rec["vehicle"] != "veh-x" {
+			t.Errorf("export line vehicle = %v, want veh-x: %q", rec["vehicle"], line)
+		}
+		switch kind := rec["kind"]; kind {
+		case "verdict":
+			verdicts++
+			if rules, ok := rec["rules"].([]any); !ok || len(rules) == 0 {
+				t.Errorf("verdict line has no rule rows: %q", line)
+			}
+		case "begin", "end", "gap":
+			events++
+			if _, ok := rec["at_s"].(float64); !ok {
+				t.Errorf("event line without at_s: %q", line)
+			}
+		default:
+			t.Errorf("export line with unknown kind %v: %q", kind, line)
+		}
+	}
+	if verdicts != 1 || events != archived {
+		t.Errorf("export holds %d verdicts and %d events, want 1 and %d", verdicts, events, archived)
+	}
+}
+
+// TestArchiveExportNonFinitePeaks pins a failure found in the field: a
+// NaN-injected signal drives a violation's peak severity to +Inf,
+// which encoding/json refuses to marshal — every such end event would
+// silently vanish from the export. Non-finite peaks must export as
+// quoted strings, losing no lines.
+func TestArchiveExportNonFinitePeaks(t *testing.T) {
+	dir := t.TempDir()
+	aw, err := archive.OpenWriter(dir, archive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, peak := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0.12} {
+		if err := aw.ArchiveEvent(1, "veh-1", wire.Event{Kind: wire.EventEnd, Rule: "Rule5", Peak: peak}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := aw.ArchiveEvent(1, "veh-1", wire.Event{Kind: wire.EventBegin, Rule: "Rule5"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.ArchiveVerdict(1, "veh-1", wire.Verdict{Rules: []wire.RuleVerdict{{Rule: "Rule5", Violated: true}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var sb strings.Builder
+	if err := runArchiveExport(dir, &sb); err != nil {
+		t.Fatalf("runArchiveExport: %v", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("export holds %d lines, want 6:\n%s", len(lines), sb.String())
+	}
+	var peaks []any
+	for _, line := range lines {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("export line %q: %v", line, err)
+		}
+		if rec["kind"] == "end" {
+			peaks = append(peaks, rec["peak"])
+		}
+	}
+	want := []any{"+Inf", "-Inf", "NaN", 0.12}
+	if len(peaks) != len(want) {
+		t.Fatalf("export holds %d end lines, want %d", len(peaks), len(want))
+	}
+	for i, p := range peaks {
+		if p != want[i] {
+			t.Errorf("peak %d exported as %v (%T), want %v", i, p, p, want[i])
+		}
 	}
 }
 

@@ -18,6 +18,8 @@
 //	monitorctl -top 127.0.0.1:9321 -interval 0   # one frame, then exit
 //	monitorctl -archive-dir /var/lib/cpsmon -archive-ls
 //	                                             # list a monitord archive's segments
+//	monitorctl -archive-dir /var/lib/cpsmon -archive-ls -v
+//	                                             # export its events and verdicts as JSONL
 //	monitorctl -archive-dir /var/lib/cpsmon -recheck specs/tightened.spec -from 1m -to 5m
 //	                                             # re-verify archived traffic against a spec
 //	monitorctl -archive-dir /var/lib/cpsmon -spec-dir /var/lib/cpsmon/specs -recheck 3f1a9c0d2e4b
@@ -83,12 +85,12 @@ func run(args []string) error {
 		maxRetry  = fs.Int("max-retries", 5, "reconnect attempts per outage for -stream before the replay fails; 0 disables reconnection")
 		explain   = fs.Int("explain", 0, "render signal context strips for up to N violations per rule")
 		margin    = fs.Duration("margin", 2*time.Second, "context margin around each explained violation")
-		verbose   = fs.Bool("v", false, "list every violation")
+		verbose   = fs.Bool("v", false, "list every violation; with -archive-ls, export every archived event and verdict as one JSON line instead of the segment table")
 
 		version     = fs.Bool("version", false, "print the build version and exit")
 		archiveDir  = fs.String("archive-dir", "", "monitord archive directory for -archive-ls and -recheck")
 		specDir     = fs.String("spec-dir", "", "monitord spec registry directory: lets -recheck name a stored spec by content hash (12+ hex digits) instead of a file")
-		archiveLs   = fs.Bool("archive-ls", false, "list the segments of -archive-dir and exit")
+		archiveLs   = fs.Bool("archive-ls", false, "list the segments of -archive-dir and exit (-v: export its events and verdicts as JSON lines)")
 		recheckSpec = fs.String("recheck", "", "re-verify archived traffic in -archive-dir against this rule set (strict, relaxed, or a .spec path) and report per-rule divergence")
 		fromT       = fs.Duration("from", 0, "capture-time lower bound for -recheck (0 = start of archive)")
 		toT         = fs.Duration("to", 0, "capture-time upper bound for -recheck (0 = end of archive)")
@@ -148,6 +150,9 @@ func run(args []string) error {
 	if *archiveLs {
 		if *archiveDir == "" {
 			return fmt.Errorf("-archive-ls requires -archive-dir")
+		}
+		if *verbose {
+			return runArchiveExport(*archiveDir, os.Stdout)
 		}
 		return runArchiveLs(*archiveDir, os.Stdout)
 	}

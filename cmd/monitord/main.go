@@ -18,7 +18,10 @@
 //	monitord -admin 127.0.0.1:9321              # /metrics, /healthz, pprof,
 //	                                            # /debug/flight span snapshot
 //	monitord -flight-sample 16 -slo-target 50ms # denser tracing, tighter SLO
-//	monitord -journal verdicts.jsonl            # append-only event/verdict log
+//	monitord -archive-dir /var/lib/monitord/arch
+//	                                            # archive every frame, event and
+//	                                            # verdict; monitorctl -archive-ls -v
+//	                                            # exports the audit trail as JSONL
 //	monitord -state-dir /var/lib/monitord       # crash-safe: ledger + archive,
 //	                                            # sessions survive kill -9
 //	monitord -drain-timeout 30s                 # bound the shutdown drain
@@ -112,8 +115,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		statsEvery  = fs.Duration("stats-interval", 0, "print ingest statistics at this interval, from the same registry as /metrics (0 = only at shutdown)")
 		stateDir    = fs.String("state-dir", "", "crash-safe operation: keep a durable session ledger here and rebuild unfinished sessions from it at startup; implies -archive-dir <state-dir>/archive unless set (empty = off)")
 		adminAddr   = fs.String("admin", "", "serve /metrics, /healthz and /debug/pprof on this address — bind loopback, e.g. 127.0.0.1:9321 (empty = off)")
-		journalPath = fs.String("journal", "", "append every event and verdict as one JSON line to this file (empty = off)")
-		journalMax  = fs.Int64("journal-max-size", 64<<20, "rotate the journal to <path>.1 past this many bytes (0 = never)")
 		idleTimeout = fs.Duration("idle-timeout", 0, "cut connections silent for this long; resumable sessions park for -resume-grace (0 = never)")
 		resumeGrace = fs.Duration("resume-grace", 0, "how long a disconnected session's monitor state awaits a resume (0 = default 30s)")
 		silenceGap  = fs.Duration("silence-gap", 0, "emit a gap event when consecutive frame timestamps are further apart than this (0 = off)")
@@ -269,19 +270,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	var journal *obs.Journal
-	if *journalPath != "" {
-		journal, err = obs.OpenJournal(*journalPath, *journalMax)
-		if err != nil {
-			return err
-		}
-		defer journal.Close()
-		if n := journal.Repaired(); n > 0 {
-			fmt.Fprintf(out, "monitord: journal: cut %d torn bytes left by the previous run\n", n)
-		}
-		cfg.OnEvent, cfg.OnVerdict = journalHooks(journal, os.Stderr)
-	}
-
 	var archiver *archive.Writer
 	if *archiveDir != "" {
 		archiver, err = archive.OpenWriter(*archiveDir, archive.Options{SegmentBytes: *archiveSeg})
@@ -379,12 +367,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// draining flips /healthz to 503 the moment shutdown begins, so
 	// health checks stop routing before the listener actually closes.
 	var draining atomic.Bool
-	var repaired int64
-	if journal != nil {
-		repaired = journal.Repaired()
-	}
 	health := func() obs.Health {
-		h := obs.Health{RepairedJournalBytes: repaired}
+		var h obs.Health
 		if slo != nil {
 			h.SLOBurn = slo.Burn()
 			h.SLOTargetSeconds = slo.Target().Seconds()

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -247,14 +248,20 @@ func scrapeAdmin(t *testing.T, adminURL string) map[string]float64 {
 }
 
 // TestDaemonAdminAndJournal is the daemon-level observability e2e: a
-// session streamed through a daemon running with -admin and -journal
-// must be visible on /metrics (parseable, counters matching the
-// session), /healthz must flip from ok to draining across shutdown,
-// pprof must answer, and the journal must hold one JSON line per event
-// plus the verdict.
+// session streamed through a daemon running with -admin and
+// -archive-dir must be visible on /metrics (parseable, counters
+// matching the session), /healthz must flip from ok to draining across
+// shutdown, pprof must answer, and the audit trail that
+// `monitorctl -archive-ls -v` exports from the archive must hold one
+// JSON line per event the client received plus the verdict.
 func TestDaemonAdminAndJournal(t *testing.T) {
-	journalPath := filepath.Join(t.TempDir(), "verdicts.jsonl")
-	addr, out, shutdown := startDaemon(t, "-admin", "127.0.0.1:0", "-journal", journalPath)
+	monitorctl := buildMonitorctl(t)
+	// -state-dir makes the archive lossless: a full-speed replay would
+	// otherwise overrun the archive queue and shed events by design.
+	dir := t.TempDir()
+	archDir := filepath.Join(dir, "arch")
+	addr, out, shutdown := startDaemon(t, "-admin", "127.0.0.1:0",
+		"-state-dir", filepath.Join(dir, "state"), "-archive-dir", archDir)
 	m := adminRE.FindStringSubmatch(out.String())
 	if m == nil {
 		t.Fatalf("daemon never reported its admin address:\n%s", out.String())
@@ -279,7 +286,7 @@ func TestDaemonAdminAndJournal(t *testing.T) {
 		t.Fatalf("Finish: %v", err)
 	}
 	if events.Load() == 0 {
-		t.Fatal("fixture produced no events; the journal assertions would be vacuous")
+		t.Fatal("fixture produced no events; the audit-trail assertions would be vacuous")
 	}
 
 	samples := scrapeAdmin(t, adminURL)
@@ -307,15 +314,15 @@ func TestDaemonAdminAndJournal(t *testing.T) {
 		t.Errorf("sessions_closed after drain = %v, want 1", got)
 	}
 
-	data, err := os.ReadFile(journalPath)
+	export, err := exec.Command(monitorctl, "-archive-dir", archDir, "-archive-ls", "-v").Output()
 	if err != nil {
-		t.Fatalf("read journal: %v", err)
+		t.Fatalf("monitorctl -archive-ls -v: %v", err)
 	}
 	var verdicts, eventLines int
-	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimSuffix(string(export), "\n"), "\n") {
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("journal line %q: %v", line, err)
+			t.Fatalf("export line %q: %v", line, err)
 		}
 		switch kind := rec["kind"]; kind {
 		case "verdict":
@@ -329,15 +336,26 @@ func TestDaemonAdminAndJournal(t *testing.T) {
 				t.Errorf("event line missing rule: %q", line)
 			}
 		default:
-			t.Errorf("journal line with unknown kind %v: %q", kind, line)
+			t.Errorf("export line with unknown kind %v: %q", kind, line)
 		}
 	}
 	if verdicts != 1 {
-		t.Errorf("journal holds %d verdict lines, want 1", verdicts)
+		t.Errorf("export holds %d verdict lines, want 1", verdicts)
 	}
 	if eventLines != int(events.Load()) {
-		t.Errorf("journal holds %d event lines, client received %d events", eventLines, events.Load())
+		t.Errorf("export holds %d event lines, client received %d events", eventLines, events.Load())
 	}
+}
+
+// buildMonitorctl compiles the monitorctl command into a temporary
+// directory and returns the binary's path.
+func buildMonitorctl(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "monitorctl")
+	if out, err := exec.Command("go", "build", "-o", bin, "cpsmon/cmd/monitorctl").CombinedOutput(); err != nil {
+		t.Fatalf("build monitorctl: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // TestDaemonArchivesSessions runs the daemon with -archive-dir and
@@ -521,69 +539,6 @@ func awaitListening(t *testing.T, out *syncBuffer, errc chan error) string {
 			t.Fatalf("daemon never reported its address:\n%s", out.String())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestDaemonJournalTornTailRestart proves a daemon killed mid-journal-
-// line does not poison the next run: the restart repairs the tail,
-// reports the cut, and every surviving line stays parseable.
-func TestDaemonJournalTornTailRestart(t *testing.T) {
-	journalPath := filepath.Join(t.TempDir(), "verdicts.jsonl")
-	addr, _, shutdown := startDaemon(t, "-journal", journalPath)
-	c, err := fleet.Dial(addr, "veh-torn", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Send(testFrames(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	shutdown()
-
-	// The kill -9 we are simulating tears the last line in half.
-	f, err := os.OpenFile(journalPath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"kind":"verdict","rules":[{"ru`)
-	f.Close()
-
-	addr2, out2, shutdown2 := startDaemon(t, "-journal", journalPath)
-	if !strings.Contains(out2.String(), "torn bytes") {
-		t.Errorf("restart never reported the journal repair:\n%s", out2.String())
-	}
-	c2, err := fleet.Dial(addr2, "veh-torn-2", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Send(testFrames(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	c2.Close()
-	shutdown2()
-
-	data, err := os.ReadFile(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdicts := 0
-	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("journal line %q unparseable after the torn restart: %v", line, err)
-		}
-		if rec["kind"] == "verdict" {
-			verdicts++
-		}
-	}
-	if verdicts != 2 {
-		t.Errorf("journal holds %d verdicts across the restart, want 2", verdicts)
 	}
 }
 

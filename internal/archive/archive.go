@@ -24,8 +24,9 @@
 //	u32  CRC-32C over the 28 bytes above
 //
 // followed by records. Every record is one length-prefixed envelope
-// around a wire-codec payload (integers little-endian, as everywhere
-// in this repository):
+// around a wire-codec payload, framed by internal/recordlog's Seal and
+// Check exactly as the session ledger and the spec registry frame
+// theirs (integers little-endian, as everywhere in this repository):
 //
 //	u32  length (kind through CRC, i.e. everything below)
 //	u8   kind (1 frames, 2 event, 4 verdict, 8 epoch)
@@ -78,6 +79,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"time"
+
+	"cpsmon/internal/recordlog"
 )
 
 // Kind distinguishes record payloads. The values are single bits so a
@@ -228,8 +231,8 @@ func parseEnvelope(body []byte) (envelope, error) {
 	if len(body) < minRecordLen {
 		return e, fmt.Errorf("archive: record body of %d bytes is shorter than the envelope", len(body))
 	}
-	data, tail := body[:len(body)-4], body[len(body)-4:]
-	if got, want := crc32.Checksum(data, crcTable), binary.LittleEndian.Uint32(tail); got != want {
+	data, ok := recordlog.Check(body)
+	if !ok {
 		return e, fmt.Errorf("archive: record checksum mismatch")
 	}
 	e.kind = Kind(data[0])

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cpsmon/internal/can"
+	"cpsmon/internal/recordlog"
 	"cpsmon/internal/wire"
 )
 
@@ -304,12 +305,10 @@ func (w *Writer) begin(k Kind, session uint64, vehicle string, tmin, tmax time.D
 	return append(b, vehicle...)
 }
 
-// commit seals the scratch record (CRC, length), rotates the segment
-// if needed, and writes it.
+// commit seals the scratch record with the recordlog framing (CRC,
+// length), rotates the segment if needed, and writes it.
 func (w *Writer) commit(b []byte, tmin, tmax time.Duration) error {
-	crc := crc32.Checksum(b[4:], crcTable)
-	b = binary.LittleEndian.AppendUint32(b, crc)
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(b)-4))
+	b = recordlog.Seal(b)
 	w.scratch = b // keep the grown capacity
 	if len(b)-4 > maxRecordLen {
 		return fmt.Errorf("archive: record of %d bytes exceeds limit %d", len(b)-4, maxRecordLen)

@@ -5,7 +5,8 @@
 // reconnecting with its resume token after a kill -9 continues
 // streaming and still receives its verdict exactly once.
 //
-// The ledger shares the archive's record discipline: little-endian
+// The ledger is a fold over an internal/recordlog log, the record
+// discipline the archive and the spec registry share: little-endian
 // length-prefixed records, each closed by a CRC-32C (Castagnoli) over
 // its body, with torn tails truncated to the last valid record at
 // open. The division of labor with internal/archive is deliberate —
@@ -16,12 +17,13 @@
 //
 // # Record layout
 //
-// Every record is
+// Every record is a recordlog record whose body is
 //
-//	u32 len | u8 kind | payload | u32 crc
+//	u8 kind | payload
 //
-// where len counts everything after itself and the checksum covers
-// kind plus payload. Kinds:
+// so on disk it reads u32 len | u8 kind | payload | u32 crc, where len
+// counts everything after itself and the checksum covers kind plus
+// payload. Kinds:
 //
 //	epoch     u64 epoch
 //	open      u64 session | u64 token | u16 proto |
@@ -47,12 +49,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"cpsmon/internal/recordlog"
 	"cpsmon/internal/wire"
 )
 
@@ -72,16 +74,16 @@ const (
 )
 
 const (
-	// minBody is the smallest record body: kind + u64 session + crc.
-	minBody = 1 + 8 + 4
-	// maxBody bounds a record body against corrupt length prefixes.
-	maxBody = 1 << 20
+	// minBody is the smallest record body: kind + u64.
+	minBody = 1 + 8
+	// maxBody bounds a record body against corrupt length prefixes. It
+	// is sized to the largest record the ledger writes: a verdict
+	// record around any wire Verdict the codec can encode (u32 length
+	// prefix plus at most wire.MaxRecordSize bytes).
+	maxBody = 1 + 8 + 8 + 4 + wire.MaxRecordSize
 	// defaultSyncEvery is the watermark group-fsync interval.
 	defaultSyncEvery = 100 * time.Millisecond
 )
-
-// crcTable is the Castagnoli table, as the archive and the wire codec use.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Session is one session's folded ledger state.
 type Session struct {
@@ -128,9 +130,8 @@ type State struct {
 // concurrent use.
 type Ledger struct {
 	mu       sync.Mutex
-	f        *os.File
+	log      *recordlog.Log
 	path     string
-	buf      []byte
 	st       State
 	dirty    bool
 	lastSync time.Time
@@ -147,39 +148,27 @@ func Open(dir string) (*Ledger, error) {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 	path := filepath.Join(dir, ledgerName)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	st, validEnd := fold(data)
-
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	st := State{Sessions: make(map[uint64]*Session)}
+	log, cut, err := recordlog.Open(path, minBody, maxBody, func(body []byte) bool {
+		// A checksummed record with an inner layout this code does not
+		// understand — version skew or silent corruption — is treated
+		// as the tear: everything before it is served.
+		return foldRecord(&st, body[0], body[1:])
+	})
 	if err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	l := &Ledger{f: f, path: path, st: st, syncEvery: defaultSyncEvery, lastSync: time.Now()}
-	if validEnd < int64(len(data)) {
-		// A torn tail (the previous process died mid-append, or the
-		// tail rotted): truncate to the last valid record so this
-		// process's appends land on a clean boundary.
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("durable: truncating torn ledger tail: %w", err)
-		}
+	if cut > 0 {
+		// The previous process died mid-append, or the tail rotted.
 		countTruncation()
 	}
-	if _, err := f.Seek(validEnd, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("durable: %w", err)
-	}
+	l := &Ledger{log: log, path: path, st: st, syncEvery: defaultSyncEvery, lastSync: time.Now()}
 	// Every open is a new epoch, recorded before anything else this
 	// process does — a grant stamped with it can later prove which
 	// ledger generation it came from.
 	l.st.Epoch++
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], l.st.Epoch)
-	if err := l.append(recEpoch, p[:], true); err != nil {
-		f.Close()
+	if err := l.appendU64(recEpoch, l.st.Epoch, true); err != nil {
+		log.Close()
 		return nil, err
 	}
 	return l, nil
@@ -195,46 +184,6 @@ func (l *Ledger) Epoch() uint64 { return l.st.Epoch }
 // epoch bump). Appends made since are deliberately not reflected: the
 // state is the recovery engine's input, read once at startup.
 func (l *Ledger) State() State { return l.st }
-
-// fold parses data record by record, stopping at the first byte that
-// does not parse — the tear. It returns the folded state and the valid
-// prefix length.
-func fold(data []byte) (State, int64) {
-	st := State{Sessions: make(map[uint64]*Session)}
-	at := int64(0)
-	for {
-		body, next, ok := nextRecord(data, at)
-		if !ok {
-			return st, at
-		}
-		if !foldRecord(&st, body[0], body[1:len(body)-4]) {
-			// A checksummed record with an inner layout this code does
-			// not understand: version skew or silent corruption. Treat
-			// it as the tear — everything before it is served.
-			return st, at
-		}
-		at = next
-	}
-}
-
-// nextRecord validates the record starting at offset at: length
-// bounds, checksum. It returns the body (kind..crc) and the next
-// offset.
-func nextRecord(data []byte, at int64) (body []byte, next int64, ok bool) {
-	if at+4 > int64(len(data)) {
-		return nil, 0, false
-	}
-	n := binary.LittleEndian.Uint32(data[at:])
-	if n < minBody || n > maxBody || at+4+int64(n) > int64(len(data)) {
-		return nil, 0, false
-	}
-	body = data[at+4 : at+4+int64(n)]
-	sum := binary.LittleEndian.Uint32(body[len(body)-4:])
-	if crc32.Checksum(body[:len(body)-4], crcTable) != sum {
-		return nil, 0, false
-	}
-	return body, at + 4 + int64(n), true
-}
 
 // foldRecord applies one validated record to the state, reporting
 // false when the payload does not parse.
@@ -343,26 +292,21 @@ func decodeVerdict(p []byte) (wire.Verdict, bool) {
 	return v, ok
 }
 
-// append writes one record, fsyncing per the record's durability
-// class: sync forces an immediate fsync; otherwise the write is
-// group-committed on the syncEvery interval. Caller must not hold mu.
-func (l *Ledger) append(kind byte, payload []byte, sync bool) error {
+// append writes one record body (kind byte, then payload), fsyncing
+// per the record's durability class: sync forces an immediate fsync;
+// otherwise the write is group-committed on the syncEvery interval.
+// Caller must not hold mu.
+func (l *Ledger) append(body []byte, sync bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.log == nil {
 		return errors.New("durable: ledger closed")
 	}
-	n := 1 + len(payload) + 4
-	b := l.buf[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	b = append(b, kind)
-	b = append(b, payload...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[4:], crcTable))
-	l.buf = b[:0]
-	if _, err := l.f.Write(b); err != nil {
+	n, err := l.log.Append(body)
+	if err != nil {
 		return fmt.Errorf("durable: ledger append: %w", err)
 	}
-	countRecord(kind, len(b))
+	countRecord(body[0], n)
 	l.dirty = true
 	if sync || time.Since(l.lastSync) >= l.syncEvery {
 		return l.syncLocked()
@@ -375,7 +319,7 @@ func (l *Ledger) syncLocked() error {
 	if !l.dirty {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.log.Sync(); err != nil {
 		return fmt.Errorf("durable: ledger sync: %w", err)
 	}
 	l.dirty = false
@@ -388,7 +332,7 @@ func (l *Ledger) syncLocked() error {
 func (l *Ledger) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.log == nil {
 		return nil
 	}
 	return l.syncLocked()
@@ -398,14 +342,14 @@ func (l *Ledger) Sync() error {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.log == nil {
 		return nil
 	}
 	err := l.syncLocked()
-	if cerr := l.f.Close(); err == nil {
+	if cerr := l.log.Close(); err == nil {
 		err = cerr
 	}
-	l.f = nil
+	l.log = nil
 	return err
 }
 
@@ -414,49 +358,50 @@ func (l *Ledger) SessionOpened(session, token uint64, proto uint16, vehicle, spe
 	if len(vehicle) > 0xFFFF || len(spec) > 0xFFFF {
 		return fmt.Errorf("durable: vehicle/spec name over 64KiB")
 	}
-	p := make([]byte, 0, 8+8+2+2+len(vehicle)+2+len(spec))
-	p = binary.LittleEndian.AppendUint64(p, session)
+	p := make([]byte, 0, 1+8+8+2+2+len(vehicle)+2+len(spec))
+	p = binary.LittleEndian.AppendUint64(append(p, recOpen), session)
 	p = binary.LittleEndian.AppendUint64(p, token)
 	p = binary.LittleEndian.AppendUint16(p, proto)
 	p = binary.LittleEndian.AppendUint16(p, uint16(len(vehicle)))
 	p = append(p, vehicle...)
 	p = binary.LittleEndian.AppendUint16(p, uint16(len(spec)))
-	p = append(p, spec...)
-	return l.append(recOpen, p, true)
+	return l.append(append(p, spec...), true)
 }
 
 // Watermark implements fleet.Ledger: written through to the OS
 // immediately, fsync'd on the group-commit interval.
 func (l *Ledger) Watermark(session, ackSeq, frames, rejected uint64) error {
-	var p [32]byte
-	binary.LittleEndian.PutUint64(p[0:], session)
-	binary.LittleEndian.PutUint64(p[8:], ackSeq)
-	binary.LittleEndian.PutUint64(p[16:], frames)
-	binary.LittleEndian.PutUint64(p[24:], rejected)
-	return l.append(recWatermark, p[:], false)
+	p := [1 + 32]byte{recWatermark}
+	binary.LittleEndian.PutUint64(p[1:], session)
+	binary.LittleEndian.PutUint64(p[9:], ackSeq)
+	binary.LittleEndian.PutUint64(p[17:], frames)
+	binary.LittleEndian.PutUint64(p[25:], rejected)
+	return l.append(p[:], false)
 }
 
 // VerdictReached implements fleet.Ledger: durable before returning.
 func (l *Ledger) VerdictReached(session, eventSeq uint64, v wire.Verdict) error {
-	p := make([]byte, 0, 16+64)
-	p = binary.LittleEndian.AppendUint64(p, session)
+	p := make([]byte, 0, 1+16+64)
+	p = binary.LittleEndian.AppendUint64(append(p, recVerdict), session)
 	p = binary.LittleEndian.AppendUint64(p, eventSeq)
-	p = wire.Append(p, v)
-	return l.append(recVerdict, p, true)
+	return l.append(wire.Append(p, v), true)
 }
 
 // VerdictDelivered implements fleet.Ledger (advisory durability).
 func (l *Ledger) VerdictDelivered(session uint64) error {
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], session)
-	return l.append(recDelivered, p[:], false)
+	return l.appendU64(recDelivered, session, false)
 }
 
 // SessionClosed implements fleet.Ledger (advisory durability).
 func (l *Ledger) SessionClosed(session uint64) error {
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], session)
-	return l.append(recClosed, p[:], false)
+	return l.appendU64(recClosed, session, false)
+}
+
+// appendU64 appends a record whose payload is a single u64.
+func (l *Ledger) appendU64(kind byte, v uint64, sync bool) error {
+	p := [1 + 8]byte{kind}
+	binary.LittleEndian.PutUint64(p[1:], v)
+	return l.append(p[:], sync)
 }
 
 // SpecEpochChanged implements the fleet server's optional epoch-ledger
@@ -466,9 +411,8 @@ func (l *Ledger) SpecEpochChanged(epoch uint64, hash string) error {
 	if len(hash) > 0xFFFF {
 		return fmt.Errorf("durable: spec hash over 64KiB")
 	}
-	p := make([]byte, 0, 8+2+len(hash))
-	p = binary.LittleEndian.AppendUint64(p, epoch)
+	p := make([]byte, 0, 1+8+2+len(hash))
+	p = binary.LittleEndian.AppendUint64(append(p, recSpecEpoch), epoch)
 	p = binary.LittleEndian.AppendUint16(p, uint16(len(hash)))
-	p = append(p, hash...)
-	return l.append(recSpecEpoch, p, true)
+	return l.append(append(p, hash...), true)
 }

@@ -15,6 +15,7 @@ import (
 	"cpsmon/internal/core"
 	"cpsmon/internal/fleet"
 	"cpsmon/internal/hil"
+	"cpsmon/internal/recordlog"
 	"cpsmon/internal/rules"
 	"cpsmon/internal/scenario"
 	"cpsmon/internal/sigdb"
@@ -452,17 +453,14 @@ awaiting:
 	if err != nil {
 		t.Fatal(err)
 	}
-	cutAt := int64(-1)
-	for at := int64(0); ; {
-		body, next, ok := nextRecord(data, at)
-		if !ok {
-			break
-		}
+	cutAt, at := int64(-1), int64(0)
+	recordlog.Scan(data, minBody, maxBody, func(body []byte) bool {
+		at += 4 + int64(len(body)) + 4
 		if body[0] == recVerdict {
-			cutAt = next
+			cutAt = at
 		}
-		at = next
-	}
+		return true
+	})
 	if cutAt < 0 {
 		t.Fatal("no verdict record in the ledger")
 	}

@@ -1,9 +1,8 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cpsmon/internal/archive"
 	"cpsmon/internal/obs"
 	"cpsmon/internal/sigdb"
 	"cpsmon/internal/wire"
@@ -56,10 +56,11 @@ func sumFamily(samples map[string]float64, name string) float64 {
 
 // TestMetricsMatchStatsAndJournal is the observability e2e: concurrent
 // sessions stream HIL captures through a server publishing on a shared
-// registry, with the event/verdict hooks feeding a JSONL journal. The
-// scraped /metrics text must parse, its counters must equal the
-// Server.Stats() snapshot and the monitor-level ground truth, and the
-// journal must hold exactly one line per produced event and verdict.
+// registry and archiving losslessly. The scraped /metrics text must
+// parse, its counters must equal the Server.Stats() snapshot and the
+// monitor-level ground truth, and the archive — the deployment's audit
+// trail — must hold exactly one record per produced event and one
+// verdict per session.
 func TestMetricsMatchStatsAndJournal(t *testing.T) {
 	sessions := 8
 	const dur = 60 * time.Second
@@ -84,31 +85,16 @@ func TestMetricsMatchStatsAndJournal(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	journal, err := obs.OpenJournal(filepath.Join(t.TempDir(), "verdicts.jsonl"), 0)
+	archDir := t.TempDir()
+	aw, err := archive.OpenWriter(archDir, archive.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hookEvents, hookVerdicts atomic.Uint64
+	defer aw.Close()
 	srv, addr := startServer(t, func(c *Config) {
 		c.Metrics = reg
-		c.OnEvent = func(session uint64, vehicle string, e wire.Event) {
-			hookEvents.Add(1)
-			if err := journal.Append(map[string]any{
-				"kind": "event", "session": session, "vehicle": vehicle,
-				"rule": e.Rule, "event": e.Kind.String(),
-			}); err != nil {
-				t.Errorf("journal event: %v", err)
-			}
-		}
-		c.OnVerdict = func(session uint64, vehicle string, v wire.Verdict) {
-			hookVerdicts.Add(1)
-			if err := journal.Append(map[string]any{
-				"kind": "verdict", "session": session, "vehicle": vehicle,
-				"rules": len(v.Rules),
-			}); err != nil {
-				t.Errorf("journal verdict: %v", err)
-			}
-		}
+		c.Archiver = aw
+		c.ArchiveBackpressure = true
 	})
 
 	var wg sync.WaitGroup
@@ -206,27 +192,45 @@ func TestMetricsMatchStatsAndJournal(t *testing.T) {
 		t.Errorf("replay depth = %v after settlement, want 0", got)
 	}
 
-	// Journal: one line per produced event plus one per verdict, and
-	// the clients saw every produced event exactly once.
-	if err := journal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if hookVerdicts.Load() != uint64(sessions) {
-		t.Errorf("verdict hook fired %d times, want %d", hookVerdicts.Load(), sessions)
-	}
-	if hookEvents.Load() != st.EventsEmitted {
-		t.Errorf("event hook fired %d times, server emitted %d", hookEvents.Load(), st.EventsEmitted)
-	}
+	// Archive: one event record per produced event and one verdict
+	// record per session, and the clients saw every produced event
+	// exactly once. Shutdown drains the archive queue.
 	if totalEvents.Load() != st.EventsEmitted {
 		t.Errorf("clients received %d events, server emitted %d", totalEvents.Load(), st.EventsEmitted)
 	}
-	data, err := os.ReadFile(journal.Path())
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := archive.OpenCatalog(archDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Count(string(data), "\n")
-	if want := int(hookEvents.Load() + hookVerdicts.Load()); lines != want {
-		t.Errorf("journal holds %d lines, want %d (events + verdicts)", lines, want)
+	it := cat.Iter(archive.Query{Kinds: archive.KindEvent | archive.KindVerdict})
+	defer it.Close()
+	var archEvents uint64
+	verdicts := make(map[uint64]int)
+	for it.Next() {
+		if r := it.Record(); r.Kind == archive.KindVerdict {
+			verdicts[r.Session]++
+		} else {
+			archEvents++
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if archEvents != st.EventsEmitted {
+		t.Errorf("archive holds %d events, server emitted %d", archEvents, st.EventsEmitted)
+	}
+	if len(verdicts) != sessions {
+		t.Errorf("archive holds verdicts for %d sessions, want %d", len(verdicts), sessions)
+	}
+	for id, n := range verdicts {
+		if n != 1 {
+			t.Errorf("session %d archived %d verdicts, want exactly 1", id, n)
+		}
 	}
 }
 

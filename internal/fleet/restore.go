@@ -38,7 +38,7 @@ type RestoredSession struct {
 // the previous process already archived past the last watermark.
 // Post-crash, the client retransmits the unacknowledged batches and
 // deterministic re-application regenerates byte-identical runs, events
-// and verdict — so the session skips archiving (and re-journaling)
+// and verdict — so the session skips archiving
 // exactly these counts, keeping the archive free of duplicates without
 // any read-side dedup.
 type RestoreSkips struct {

@@ -105,21 +105,16 @@ type Config struct {
 	// registered by name and a second server would silently read the
 	// first's.
 	Metrics *obs.Registry
-	// OnEvent, when not nil, is invoked from session worker goroutines
-	// exactly once per event the server produces (violation begins,
-	// ends and gaps) — resume replays and verdict re-deliveries do not
-	// repeat it. It must not block; the verdict journal is the
-	// intended consumer.
-	OnEvent func(session uint64, vehicle string, e wire.Event)
-	// OnVerdict, when not nil, is invoked exactly once per session
-	// verdict, when the verdict is built (delivery may still be
-	// retried). Sessions reaped without a verdict never invoke it.
-	OnVerdict func(session uint64, vehicle string, v wire.Verdict)
 	// Archiver, when not nil, receives every applied frame run, every
 	// emitted event and every verdict through a bounded queue drained
 	// by a dedicated goroutine. Frames and events are shed (and
 	// counted dropped) when the queue is full — unless
 	// ArchiveBackpressure is set — while verdicts never are.
+	// The archive is the deployment's audit trail: each produced
+	// event is offered exactly once (resume replays and verdict
+	// re-deliveries do not repeat it, and a restored session skips
+	// what the crashed process already archived), and each verdict
+	// once per session.
 	// Shutdown drains the queue and flushes the Archiver before
 	// returning; closing the Archiver itself stays the caller's job.
 	Archiver Archiver

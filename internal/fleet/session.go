@@ -755,16 +755,12 @@ func (sess *session) archiveRun(run []can.Frame) {
 func (sess *session) emitWire(w wire.Event) bool {
 	// emitWire runs exactly once per produced event — resume replays
 	// and verdict re-deliveries bypass it — so it is the exactly-once
-	// hook point for the event journal and the archive. Events inside
-	// the post-crash skip window are the exception: the previous
-	// process already journaled and archived them, this process merely
-	// regenerates them for the client.
+	// archive point. Events inside the post-crash skip window are the
+	// exception: the previous process already archived them, this
+	// process merely regenerates them for the client.
 	if sess.skipArchEvents > 0 {
 		sess.skipArchEvents--
 	} else {
-		if f := sess.srv.cfg.OnEvent; f != nil {
-			f(sess.id, sess.vehicle, w)
-		}
 		sess.srv.archiveEvent(sess.id, sess.vehicle, w)
 	}
 	sess.events = append(sess.events, w)
@@ -852,14 +848,11 @@ func (sess *session) finalize() {
 	}
 	v := sess.verdict()
 	if sess.skipArchVerdict {
-		// The previous process archived (and journaled) this verdict
-		// right before dying; re-finalization regenerates it
-		// byte-identically, so only the client delivery remains.
+		// The previous process archived this verdict right before
+		// dying; re-finalization regenerates it byte-identically, so
+		// only the client delivery remains.
 		sess.skipArchVerdict = false
 	} else {
-		if f := sess.srv.cfg.OnVerdict; f != nil {
-			f(sess.id, sess.vehicle, v)
-		}
 		sess.srv.archiveVerdict(sess.id, sess.vehicle, v)
 	}
 	sess.verdictRec = &wire.VerdictSeq{EventSeq: uint64(len(sess.events)), Verdict: v}

@@ -9,13 +9,12 @@ import (
 // Health is the structured /healthz body. State is one of "ok",
 // "draining" or "degraded"; the remaining fields carry the operational
 // detail a fleet dashboard wants without a full metrics scrape: how
-// hard the detection-latency SLO budget is burning and how many bytes
-// of journal the last recovery had to repair.
+// hard the detection-latency SLO budget is burning, and the spec
+// rollout phase.
 type Health struct {
-	State                string  `json:"state"`
-	SLOBurn              float64 `json:"slo_burn"`
-	SLOTargetSeconds     float64 `json:"slo_target_seconds,omitempty"`
-	RepairedJournalBytes int64   `json:"repaired_journal_bytes"`
+	State            string  `json:"state"`
+	SLOBurn          float64 `json:"slo_burn"`
+	SLOTargetSeconds float64 `json:"slo_target_seconds,omitempty"`
 	// Rollout is the spec rollout phase ("idle", "shadowing", ...) when
 	// a spec registry is configured; SpecEpoch the active spec epoch.
 	Rollout   string `json:"rollout,omitempty"`

@@ -29,14 +29,14 @@ func adminGet(t *testing.T, srv *httptest.Server, path string) (int, string) {
 
 // TestHealthzStructuredBody pins the /healthz JSON contract: a
 // structured state machine (ok | draining | degraded) carrying the SLO
-// burn and repaired-journal bytes, while the status-code contract old
+// burn, while the status-code contract old
 // scrapers rely on is preserved — 200 unless draining, 503 draining.
 // A degraded SLO keeps the 200: flipping readiness would tell the load
 // balancer to abandon a replica that is slow but alive.
 func TestHealthzStructuredBody(t *testing.T) {
 	var ready atomic.Bool
 	ready.Store(true)
-	health := Health{State: "ok", SLOBurn: 0.25, SLOTargetSeconds: 0.1, RepairedJournalBytes: 17}
+	health := Health{State: "ok", SLOBurn: 0.25, SLOTargetSeconds: 0.1}
 	srv := httptest.NewServer(NewAdmin(AdminConfig{
 		Registry: NewRegistry(),
 		Ready:    ready.Load,
@@ -54,7 +54,7 @@ func TestHealthzStructuredBody(t *testing.T) {
 	}
 
 	code, body := adminGet(t, srv, "/healthz")
-	if h := decode(body); code != 200 || h.State != "ok" || h.SLOBurn != 0.25 || h.RepairedJournalBytes != 17 {
+	if h := decode(body); code != 200 || h.State != "ok" || h.SLOBurn != 0.25 || h.SLOTargetSeconds != 0.1 {
 		t.Errorf("/healthz ok = %d %q", code, body)
 	}
 

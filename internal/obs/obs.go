@@ -1,8 +1,9 @@
 // Package obs is the repository's observability layer: a
 // standard-library-only metrics registry with atomic counters, gauges
 // and fixed-bucket histograms, a Prometheus text-exposition encoder,
-// an HTTP admin handler (metrics, health, pprof), and an append-only
-// JSONL journal for audit records.
+// and an HTTP admin handler (metrics, health, pprof). The audit trail
+// of events and verdicts is the archive (internal/archive), not part
+// of this package.
 //
 // The registry is built for the monitor's hot path: once a metric
 // handle is created, every update — Counter.Inc/Add, Gauge.Set,

@@ -2,12 +2,9 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -254,142 +251,4 @@ func TestAdminHandler(t *testing.T) {
 	if code, _ := get("/debug/pprof/goroutine?debug=1"); code != 200 {
 		t.Errorf("/debug/pprof/goroutine = %d", code)
 	}
-}
-
-func TestJournalAppendAndRotate(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "verdicts.jsonl")
-	j, err := OpenJournal(path, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type rec struct {
-		Kind string `json:"kind"`
-		N    int    `json:"n"`
-	}
-	for i := 0; i < 20; i++ {
-		if err := j.Append(rec{Kind: "event", N: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if j.Records() != 20 {
-		t.Errorf("records = %d, want 20", j.Records())
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	live, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rotated, err := os.ReadFile(path + ".1")
-	if err != nil {
-		t.Fatalf("no rotation happened: %v", err)
-	}
-	if len(live) > 200+40 {
-		t.Errorf("live journal grew to %d bytes despite the 200-byte limit", len(live))
-	}
-	total := strings.Count(string(live), "\n") + strings.Count(string(rotated), "\n")
-	// Only the newest rotation is kept, so at least the records that
-	// fit in two files survive; every surviving line must be valid.
-	if total == 0 {
-		t.Fatal("no journal lines survived")
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(live)), "\n") {
-		if !strings.HasPrefix(line, `{"kind":"event"`) {
-			t.Errorf("malformed journal line %q", line)
-		}
-	}
-	if err := j.Append(rec{}); err == nil {
-		t.Error("append after Close succeeded")
-	}
-}
-
-func TestJournalAppendsAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "j.jsonl")
-	j, err := OpenJournal(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Append(map[string]int{"a": 1})
-	j.Close()
-	j2, err := OpenJournal(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.Append(map[string]int{"a": 2})
-	j2.Close()
-	data, _ := os.ReadFile(path)
-	if got := strings.Count(string(data), "\n"); got != 2 {
-		t.Errorf("journal has %d lines after reopen, want 2", got)
-	}
-}
-
-// TestJournalTornTailRepair kills a journal mid-line (the way a
-// SIGKILLed daemon would) and proves the next open truncates back to
-// the last complete line, leaving every surviving line parseable and
-// new appends landing on a clean boundary.
-func TestJournalTornTailRepair(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "j.jsonl")
-	j, err := OpenJournal(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Append(map[string]int{"n": 1})
-	j.Append(map[string]int{"n": 2})
-	j.Close()
-
-	// Simulate a crash mid-Append: a partial record with no newline.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"n":3,"truncated`)
-	f.Close()
-
-	j2, err := OpenJournal(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.Repaired() == 0 {
-		t.Fatal("torn tail was not repaired")
-	}
-	if err := j2.Append(map[string]int{"n": 4}); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("journal has %d lines after repair, want 3:\n%s", len(lines), data)
-	}
-	for i, line := range lines {
-		var m map[string]int
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("line %d unparseable after repair: %q: %v", i, line, err)
-		}
-	}
-	if !strings.Contains(lines[2], `"n":4`) {
-		t.Errorf("post-repair append = %q, want n=4", lines[2])
-	}
-
-	// A file that is nothing but one torn line must be cut to empty.
-	lone := filepath.Join(dir, "lone.jsonl")
-	if err := os.WriteFile(lone, []byte(`{"half`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j3, err := OpenJournal(lone, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j3.Repaired() != 6 {
-		t.Errorf("lone torn line: repaired %d bytes, want 6", j3.Repaired())
-	}
-	j3.Close()
 }

@@ -19,12 +19,13 @@
 // # Registry layout
 //
 // A registry is a directory holding one append-only log,
-// registry.log, in the repository's shared record discipline
-// (little-endian, length-prefixed, CRC-32C closed, torn tail truncated
-// at open — exactly as the durable ledger and the archive):
+// registry.log: an internal/recordlog log (little-endian,
+// length-prefixed, CRC-32C closed, torn tail truncated at open —
+// exactly as the durable ledger) whose record bodies are
 //
-//	u32 len | u8 kind | payload | u32 crc
+//	u8 kind | payload
 //
+// so on disk each record reads u32 len | u8 kind | payload | u32 crc.
 // Kinds:
 //
 //	spec      u16 len + hash | u16 len + name | u32 len + source
@@ -46,10 +47,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"cpsmon/internal/recordlog"
 )
 
 // registryName is the log's file name inside the registry directory.
@@ -65,15 +67,12 @@ const (
 )
 
 const (
-	// minBody is the smallest record body: kind + u16 length + crc.
-	minBody = 1 + 2 + 4
+	// minBody is the smallest record body: kind + u16 length.
+	minBody = 1 + 2
 	// maxBody bounds a record body against corrupt length prefixes;
 	// generous for a rule file, far below anything pathological.
 	maxBody = 1 << 24
 )
-
-// crcTable is the Castagnoli table, as the ledger and archive use.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Hash returns the registry's content address for a spec source: the
 // SHA-256 of its bytes, hex encoded. Identical text always hashes
@@ -112,7 +111,7 @@ type State struct {
 // monitord process owns one registry for its lifetime.
 type Registry struct {
 	mu    sync.Mutex
-	f     *os.File
+	log   *recordlog.Log
 	path  string
 	specs map[string]*Spec
 	order []string // insertion order, for stable listings
@@ -127,64 +126,25 @@ func OpenRegistry(dir string) (*Registry, error) {
 		return nil, fmt.Errorf("specreg: %w", err)
 	}
 	path := filepath.Join(dir, registryName)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("specreg: %w", err)
-	}
 	r := &Registry{path: path, specs: make(map[string]*Spec)}
-	validEnd := r.fold(data)
-
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	log, _, err := recordlog.Open(path, minBody, maxBody, r.foldRecord)
 	if err != nil {
 		return nil, fmt.Errorf("specreg: %w", err)
 	}
-	r.f = f
-	if validEnd < int64(len(data)) {
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("specreg: truncating torn registry tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(validEnd, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("specreg: %w", err)
-	}
+	r.log = log
 	return r, nil
 }
 
 // Path returns the registry file's path.
 func (r *Registry) Path() string { return r.path }
 
-// fold parses data record by record into the registry's in-memory
-// state, stopping at the first byte that does not parse — the tear.
-// It returns the valid prefix length.
-func (r *Registry) fold(data []byte) int64 {
-	at := int64(0)
-	for {
-		if at+4 > int64(len(data)) {
-			return at
-		}
-		n := binary.LittleEndian.Uint32(data[at:])
-		if n < minBody || n > maxBody || at+4+int64(n) > int64(len(data)) {
-			return at
-		}
-		body := data[at+4 : at+4+int64(n)]
-		sum := binary.LittleEndian.Uint32(body[len(body)-4:])
-		if crc32.Checksum(body[:len(body)-4], crcTable) != sum {
-			return at
-		}
-		if !r.foldRecord(body[0], body[1:len(body)-4]) {
-			// A checksummed record this code does not understand:
-			// version skew or silent corruption. Treat it as the tear.
-			return at
-		}
-		at += 4 + int64(n)
-	}
-}
-
-// foldRecord applies one validated record, reporting false when the
-// payload does not parse.
-func (r *Registry) foldRecord(kind byte, p []byte) bool {
+// foldRecord applies one validated record body, reporting false when
+// it does not parse. A checksummed record this code does not
+// understand — version skew or silent corruption — is thereby treated
+// as the tear at open. Appends apply through the same fold, so the
+// in-memory state is always the fold of the log.
+func (r *Registry) foldRecord(body []byte) bool {
+	kind, p := body[0], body[1:]
 	switch kind {
 	case rSpec:
 		hash, p, ok := cut16(p)
@@ -265,23 +225,18 @@ func cut32(p []byte) (s string, rest []byte, ok bool) {
 	return string(p[4 : 4+n]), p[4+n:], true
 }
 
-// append writes and fsyncs one record. Caller holds mu.
-func (r *Registry) append(kind byte, payload []byte) error {
-	if r.f == nil {
+// commit appends, fsyncs and folds one record body. Caller holds mu.
+func (r *Registry) commit(body []byte) error {
+	if r.log == nil {
 		return errors.New("specreg: registry closed")
 	}
-	n := 1 + len(payload) + 4
-	b := make([]byte, 0, 4+n)
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	b = append(b, kind)
-	b = append(b, payload...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[4:], crcTable))
-	if _, err := r.f.Write(b); err != nil {
+	if _, err := r.log.Append(body); err != nil {
 		return fmt.Errorf("specreg: registry append: %w", err)
 	}
-	if err := r.f.Sync(); err != nil {
+	if err := r.log.Sync(); err != nil {
 		return fmt.Errorf("specreg: registry sync: %w", err)
 	}
+	r.foldRecord(body)
 	return nil
 }
 
@@ -307,16 +262,13 @@ func (r *Registry) Put(name, source string) (string, error) {
 	if _, ok := r.specs[hash]; ok {
 		return hash, nil
 	}
-	p := make([]byte, 0, 2+len(hash)+2+len(name)+4+len(source))
-	p = appendStr16(p, hash)
-	p = appendStr16(p, name)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(source)))
-	p = append(p, source...)
-	if err := r.append(rSpec, p); err != nil {
+	b := make([]byte, 0, 1+2+len(hash)+2+len(name)+4+len(source))
+	b = appendStr16(append(b, rSpec), hash)
+	b = appendStr16(b, name)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(source)))
+	if err := r.commit(append(b, source...)); err != nil {
 		return "", err
 	}
-	r.specs[hash] = &Spec{Hash: hash, Name: name, Source: source}
-	r.order = append(r.order, hash)
 	return hash, nil
 }
 
@@ -327,11 +279,7 @@ func (r *Registry) SetCandidate(hash string) error {
 	if _, ok := r.specs[hash]; !ok {
 		return fmt.Errorf("specreg: unknown spec %.12s", hash)
 	}
-	if err := r.append(rCandidate, appendStr16(nil, hash)); err != nil {
-		return err
-	}
-	r.st.CandidateHash = hash
-	return nil
+	return r.commit(appendStr16([]byte{rCandidate}, hash))
 }
 
 // Promote durably records a stored spec becoming active under epoch.
@@ -346,36 +294,19 @@ func (r *Registry) Promote(hash string, epoch uint64) error {
 	if epoch <= r.st.ActiveEpoch {
 		return fmt.Errorf("specreg: promote epoch %d not past active epoch %d", epoch, r.st.ActiveEpoch)
 	}
-	p := binary.LittleEndian.AppendUint64(nil, epoch)
-	p = appendStr16(p, hash)
-	if err := r.append(rPromote, p); err != nil {
-		return err
-	}
-	r.st.ActiveHash, r.st.ActiveEpoch = hash, epoch
-	if r.st.CandidateHash == hash {
-		r.st.CandidateHash = ""
-	}
-	return nil
+	b := binary.LittleEndian.AppendUint64([]byte{rPromote}, epoch)
+	return r.commit(appendStr16(b, hash))
 }
 
 // Rollback durably records a candidate being withdrawn, with the
 // reason an operator will later ask for.
 func (r *Registry) Rollback(hash, reason string) error {
-	if len(reason) > 0xFFFF {
-		return fmt.Errorf("specreg: rollback reason over 64KiB")
+	if len(hash) > 0xFFFF || len(reason) > 0xFFFF {
+		return fmt.Errorf("specreg: rollback hash or reason over 64KiB")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p := appendStr16(nil, hash)
-	p = appendStr16(p, reason)
-	if err := r.append(rRollback, p); err != nil {
-		return err
-	}
-	r.st.RollbackHash, r.st.RollbackReason = hash, reason
-	if r.st.CandidateHash == hash {
-		r.st.CandidateHash = ""
-	}
-	return nil
+	return r.commit(appendStr16(appendStr16([]byte{rRollback}, hash), reason))
 }
 
 // Get returns a stored spec by content hash. A unique prefix of at
@@ -426,10 +357,10 @@ func (r *Registry) State() State {
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.f == nil {
+	if r.log == nil {
 		return nil
 	}
-	err := r.f.Close()
-	r.f = nil
+	err := r.log.Close()
+	r.log = nil
 	return err
 }

@@ -2,6 +2,7 @@ package specreg
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -147,5 +148,33 @@ func TestRegistryTornTail(t *testing.T) {
 	defer r3.Close()
 	if _, ok := r3.Get(h2); !ok {
 		t.Fatal("record appended after repair did not survive reopen")
+	}
+}
+
+// TestRegistryRefusesOversizeRollback: a rollback hash over 64KiB
+// would be written with a truncated u16 length the fold cannot parse,
+// and the next open would cut that record and every one after it. It
+// must be refused, leaving later appends readable.
+func TestRegistryRefusesOversizeRollback(t *testing.T) {
+	dir := t.TempDir()
+	r, err := OpenRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Rollback(strings.Repeat("h", 0x10000), "reason"); err == nil {
+		t.Fatal("a rollback hash over 64KiB was accepted")
+	}
+	h, err := r.Put("strict", "src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	r2, err := OpenRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if _, ok := r2.Get(h); !ok {
+		t.Fatal("a spec stored after the refused rollback was lost on reopen")
 	}
 }
