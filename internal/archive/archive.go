@@ -78,9 +78,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"time"
 
 	"cpsmon/internal/recordlog"
+	"cpsmon/internal/wire"
 )
 
 // Kind distinguishes record payloads. The values are single bits so a
@@ -137,12 +139,14 @@ const (
 	envFixed = 1 + 8 + 8 + 8 + 8 + 2
 
 	// minRecordLen and maxRecordLen bound the length prefix of a
-	// record (which counts kind through CRC). The ceiling leaves the
-	// envelope room around a maximum-size wire record, so nothing a
-	// legitimate writer produces is refused, while a corrupt length
-	// can never size a large read.
+	// record (which counts kind through CRC). The ceiling is the
+	// largest record the writer can be given: the envelope, a vehicle
+	// name at its u16 limit, an embedded wire record (u32 length plus
+	// up to wire.MaxRecordSize bytes) and the CRC. Nothing a legitimate
+	// writer produces is refused, while a corrupt length can never
+	// size a large read.
 	minRecordLen = envFixed + 4
-	maxRecordLen = 1<<20 + 4096
+	maxRecordLen = envFixed + math.MaxUint16 + 4 + wire.MaxRecordSize + 4
 
 	// indexEntrySize is one sparse index entry: sequence, tmin, offset.
 	indexEntrySize = 24

@@ -2,8 +2,13 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -469,5 +474,183 @@ func TestClosedWriterRefusesAppends(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("empty writer left %d files behind", len(ents))
+	}
+}
+
+// buildInterleavedArchive writes a multi-segment archive with nSessions
+// sessions interleaved chunk by chunk — the shape a fleet server
+// produces — plus one event and one verdict per session. The tiny
+// segment threshold forces frequent rotation.
+func buildInterleavedArchive(t testing.TB, dir string, nSessions, rounds int) {
+	t.Helper()
+	w, err := OpenWriter(dir, Options{SegmentBytes: minSegmentBytes})
+	if err != nil {
+		t.Fatalf("OpenWriter: %v", err)
+	}
+	for round := 0; round < rounds; round++ {
+		for s := 1; s <= nSessions; s++ {
+			start := time.Duration(round*nSessions+s) * 40 * time.Millisecond
+			frames := mkFrames(20+(s%5)*7, start)
+			veh := fmt.Sprintf("veh-%d", s%4)
+			if err := w.ArchiveFrames(uint64(s), veh, frames); err != nil {
+				t.Fatalf("ArchiveFrames: %v", err)
+			}
+			if round == rounds/2 {
+				if err := w.ArchiveEvent(uint64(s), veh, testEvent("Rule1", start)); err != nil {
+					t.Fatalf("ArchiveEvent: %v", err)
+				}
+			}
+		}
+	}
+	for s := 1; s <= nSessions; s++ {
+		if err := w.ArchiveVerdict(uint64(s), fmt.Sprintf("veh-%d", s%4), testVerdict(uint32(s%3))); err != nil {
+			t.Fatalf("ArchiveVerdict: %v", err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestIteratorCloseIdempotentMidIteration pins the documented Close
+// contract for the sequential iterator: closing mid-iteration (current
+// record in hand) is safe, closing twice is safe, and neither disturbs
+// Err.
+func TestIteratorCloseIdempotentMidIteration(t *testing.T) {
+	dir := t.TempDir()
+	buildInterleavedArchive(t, dir, 4, 4)
+	cat, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatalf("OpenCatalog: %v", err)
+	}
+	it := cat.Iter(Query{})
+	for i := 0; i < 3; i++ {
+		if !it.Next() {
+			t.Fatalf("Next %d = false before Close", i)
+		}
+	}
+	rec := *it.Record()
+	if err := it.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if it.Next() {
+		t.Fatal("Next returned true after Close")
+	}
+	if err := it.Err(); err != nil {
+		t.Fatalf("Err after Close = %v, want nil", err)
+	}
+	if rec.Seq == 0 {
+		t.Fatal("record captured before Close lost its envelope")
+	}
+}
+
+// corruptFramesCount rewrites the first frames record of the given
+// segment file so its payload declares an absurd frame count, then
+// re-checksums the record. The envelope stays valid — the corruption
+// is only visible to the frames decoder, which must surface it as an
+// iteration error (not silently abandon the segment).
+func corruptFramesCount(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64(headerSize)
+	n := binary.LittleEndian.Uint32(raw[off : off+4])
+	body := raw[off+4 : off+4+int64(n)]
+	data := body[:len(body)-4]
+	vlen := int(binary.LittleEndian.Uint16(data[33:35]))
+	payload := data[envFixed+vlen:]
+	binary.LittleEndian.PutUint32(payload[:4], 0xFFFFFFF0)
+	binary.LittleEndian.PutUint32(body[len(body)-4:], crc32.Checksum(data, crcTable))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIterDecodeErrorSurfaces corrupts a frames payload in a middle
+// segment (with a valid envelope checksum) and checks the iterator
+// reports it as Err instead of skipping it, after serving every record
+// of the segments before it.
+func TestIterDecodeErrorSurfaces(t *testing.T) {
+	dir := t.TempDir()
+	buildInterleavedArchive(t, dir, 8, 8)
+	cat, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatalf("OpenCatalog: %v", err)
+	}
+	segs := cat.Segments()
+	if len(segs) < 3 {
+		t.Fatalf("fixture built only %d segments", len(segs))
+	}
+	mid := len(segs) / 2
+	corruptFramesCount(t, segs[mid].Path)
+	var before int
+	for _, seg := range segs[:mid] {
+		before += int(seg.Records)
+	}
+
+	// Reopen: sealed segments are served through their footer, so the
+	// record-level corruption stays invisible until decode time.
+	cat, err = OpenCatalog(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	it := cat.Iter(Query{})
+	defer it.Close()
+	var served int
+	for it.Next() {
+		served++
+	}
+	if it.Err() == nil {
+		t.Fatal("iterator missed the corrupted frames payload")
+	}
+	if served != before {
+		t.Fatalf("served %d records before the error, want the %d of the earlier segments", served, before)
+	}
+}
+
+// TestArchivesMaxWireVerdict pins the record bound against the largest
+// record the fleet can hand the writer: a verdict that fills a wire
+// record, under a vehicle name far longer than any real one, must
+// archive and read back unchanged.
+func TestArchivesMaxWireVerdict(t *testing.T) {
+	// One encoded rule row costs ruleRow bytes plus its name.
+	const target, ruleRow, name = wire.MaxRecordSize + 4, 19, 60_000
+	v := wire.Verdict{FramesIngested: 37_500}
+	for len(wire.Marshal(v))+ruleRow+name <= target-ruleRow {
+		v.Rules = append(v.Rules, wire.RuleVerdict{Rule: strings.Repeat("r", name), Violated: true, Violations: 3, Real: 2, Transient: 1})
+	}
+	pad := target - len(wire.Marshal(v)) - ruleRow
+	v.Rules = append(v.Rules, wire.RuleVerdict{Rule: strings.Repeat("p", pad)})
+	if n := len(wire.Marshal(v)); n != target {
+		t.Fatalf("verdict sized to %d bytes, want exactly the wire limit %d", n, target)
+	}
+	vehicle := strings.Repeat("v", 5000)
+
+	dir := t.TempDir()
+	w, err := OpenWriter(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ArchiveVerdict(7, vehicle, v); err != nil {
+		t.Fatalf("a verdict of exactly the wire limit was refused: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := collect(t, cat.Iter(Query{}))
+	if len(recs) != 1 {
+		t.Fatalf("read back %d records, want 1", len(recs))
+	}
+	if r := recs[0]; r.Kind != KindVerdict || r.Session != 7 || r.Vehicle != vehicle || !reflect.DeepEqual(r.Verdict, v) {
+		t.Fatal("the max-size verdict did not read back equal")
 	}
 }

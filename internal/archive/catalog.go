@@ -692,21 +692,3 @@ func (it *Iterator) Close() error {
 	it.done = true
 	return nil
 }
-
-// reset re-arms the iterator over a single segment, reusing its decode
-// scratch (body buffer, frame slab, vehicle intern table). The
-// parallel scanner's workers replay one segment at a time through a
-// worker-owned iterator this way.
-func (it *Iterator) reset(seg segment, q Query) {
-	it.closeSegment()
-	it.segs = append(it.segs[:0], seg)
-	it.q = q
-	it.si = 0
-	it.off, it.end = 0, 0
-	it.rec = Record{}
-	it.err = nil
-	it.done = false
-	if it.vehicles == nil {
-		it.vehicles = make(map[string]string)
-	}
-}

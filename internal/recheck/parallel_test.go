@@ -178,8 +178,7 @@ func TestRecheckParallelDifferential(t *testing.T) {
 
 // poisonFramesRecord rewrites the first record of a segment file so
 // its frames payload declares an absurd frame count, re-checksumming
-// the envelope so only the frames decoder — which runs on the parallel
-// scanner's workers — sees the damage. Layout constants mirror the
+// the envelope so only the iterator's frames decoder sees the damage. Layout constants mirror the
 // archive format (32-byte file header; envelope = kind, seq, session,
 // tmin, tmax, vehicle-length, vehicle, payload, Castagnoli CRC); the
 // archive package's own white-box corruption test pins the same
@@ -209,8 +208,8 @@ func poisonFramesRecord(t *testing.T, path string) {
 }
 
 // TestRecheckWorkerErrorSurfaces corrupts a frames payload in a middle
-// segment (envelope checksum intact, so only the scanner workers'
-// frames decoder trips over it): Run — sequential and sharded alike —
+// segment (envelope checksum intact, so only the iterator's frames
+// decoder trips over it): Run — sequential and sharded alike —
 // must return that one error promptly instead of hanging the reader or
 // the replay shards.
 func TestRecheckWorkerErrorSurfaces(t *testing.T) {

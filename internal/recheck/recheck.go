@@ -15,13 +15,13 @@
 // (frames dropped, rejected) describe the original transport and are
 // not reproducible from the archive.
 //
-// Recheck is an offline batch job, so it parallelizes freely: sessions
-// are sharded onto a worker pool (Options.Workers) and segments are
-// decoded ahead of the replay by the archive's parallel scanner. The
-// sharding is deterministic — every session is wholly owned by one
-// worker and its records arrive in archive order, and the final report
-// is assembled in sorted session order — so the report is identical at
-// any worker count, byte for byte.
+// Recheck is an offline batch job, so it parallelizes freely: one
+// reader walks the archive in order and routes each record to a worker
+// pool sharded by session (Options.Workers). The sharding is
+// deterministic — every session is wholly owned by one worker and its
+// records arrive in archive order, and the final report is assembled
+// in sorted session order — so the report is identical at any worker
+// count, byte for byte.
 package recheck
 
 import (
@@ -135,7 +135,7 @@ type tally struct {
 // sessions each get their own monitor instance over the shared
 // compiled spec. With Options.Workers above one, sessions are sharded
 // onto that many replay workers (session number modulo worker count)
-// fed by a pipelined segment scan; any error — a worker-side replay
+// fed by one sequential archive reader; any error — a worker-side replay
 // failure or an iterator decode failure — surfaces as the one error
 // Run returns, never a hang.
 func Run(cat *archive.Catalog, db *sigdb.DB, cfg core.Config, opt Options) (*Report, error) {
@@ -179,32 +179,23 @@ func Run(cat *archive.Catalog, db *sigdb.DB, cfg core.Config, opt Options) (*Rep
 	return rep, nil
 }
 
-// runSequential is the single-threaded replay: one pass over the
-// sequential iterator, sessions demultiplexed into a map.
+// runSequential is the single-threaded replay and the reference the
+// sharded engine is tested against: one shard driven inline over the
+// sequential iterator, with no goroutine and no batches.
 func runSequential(cat *archive.Catalog, db *sigdb.DB, mon *core.Monitor, q archive.Query) (map[uint64]*replay, error) {
-	sessions := make(map[uint64]*replay)
+	sh := newShard(mon, db)
 	it := cat.Iter(q)
 	defer it.Close()
 	for it.Next() {
-		rec := it.Record()
 		countRecord()
-		r := sessions[rec.Session]
-		if r == nil {
-			om, err := mon.Online(db)
-			if err != nil {
-				return nil, err
-			}
-			r = &replay{vehicle: rec.Vehicle, om: om, tally: make(map[string]*tally)}
-			sessions[rec.Session] = r
-		}
-		if err := r.apply(rec); err != nil {
+		if err := sh.apply(it.Record()); err != nil {
 			return nil, err
 		}
 	}
 	if err := it.Err(); err != nil {
 		return nil, err
 	}
-	return sessions, nil
+	return sh.sessions, nil
 }
 
 // shardBatch is how many records the reader accumulates per shard
@@ -214,17 +205,17 @@ func runSequential(cat *archive.Catalog, db *sigdb.DB, mon *core.Monitor, q arch
 const shardBatch = 64
 
 // batch is the unit of reader-to-shard transfer: record copies with
-// their frames moved into a batch-owned arena, since both iterator and
-// parallel-scanner frame buffers are scratch that must not cross a
-// goroutine boundary by reference.
+// their frames moved into a batch-owned arena, since the iterator's
+// frame buffer is scratch that must not cross a goroutine boundary by
+// reference.
 type batch struct {
 	recs   []archive.Record
 	frames []can.Frame
 }
 
-// shard is one replay worker's private state. Sessions are assigned by
-// session number modulo worker count, so the maps are disjoint and the
-// merge after the join is a plain union.
+// shard is one replay's private session state. Sharded workers are
+// assigned sessions by session number modulo worker count, so their
+// maps are disjoint and the merge after the join is a plain union.
 type shard struct {
 	mon      *core.Monitor
 	db       *sigdb.DB
@@ -233,20 +224,29 @@ type shard struct {
 	busy     time.Duration
 }
 
-// process replays one batch, creating session state on first sight.
+func newShard(mon *core.Monitor, db *sigdb.DB) *shard {
+	return &shard{mon: mon, db: db, sessions: make(map[uint64]*replay)}
+}
+
+// apply folds one record into its session's replay, creating the
+// session's monitor on first sight.
+func (s *shard) apply(rec *archive.Record) error {
+	r := s.sessions[rec.Session]
+	if r == nil {
+		om, err := s.mon.Online(s.db)
+		if err != nil {
+			return err
+		}
+		r = &replay{vehicle: rec.Vehicle, om: om, tally: make(map[string]*tally)}
+		s.sessions[rec.Session] = r
+	}
+	return r.apply(rec)
+}
+
+// process replays one batch.
 func (s *shard) process(b *batch) error {
 	for i := range b.recs {
-		rec := &b.recs[i]
-		r := s.sessions[rec.Session]
-		if r == nil {
-			om, err := s.mon.Online(s.db)
-			if err != nil {
-				return err
-			}
-			r = &replay{vehicle: rec.Vehicle, om: om, tally: make(map[string]*tally)}
-			s.sessions[rec.Session] = r
-		}
-		if err := r.apply(rec); err != nil {
+		if err := s.apply(&b.recs[i]); err != nil {
 			return err
 		}
 	}
@@ -271,14 +271,14 @@ func (r *replay) apply(rec *archive.Record) error {
 	return nil
 }
 
-// runSharded fans the archive pass over a worker pool: a pipelined
-// segment scan feeds a reader that routes each record to its session's
+// runSharded fans the archive pass over a worker pool: a reader walks
+// the sequential iterator and routes each record to its session's
 // shard. A failing shard raises a flag the reader polls, so the scan
 // is closed mid-iteration instead of replaying to the end; the workers
 // drain their channels without processing, and the first error (in
 // shard order, then the iterator's) is returned.
 func runSharded(cat *archive.Catalog, db *sigdb.DB, mon *core.Monitor, q archive.Query, workers int) (map[uint64]*replay, []time.Duration, error) {
-	it := cat.ParallelIter(q, archive.ScanOptions{Workers: workers})
+	it := cat.Iter(q)
 	defer it.Close()
 
 	var pool sync.Pool
@@ -289,7 +289,7 @@ func runSharded(cat *archive.Catalog, db *sigdb.DB, mon *core.Monitor, q archive
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		chans[w] = make(chan *batch, 4)
-		sh := &shard{mon: mon, db: db, sessions: make(map[uint64]*replay)}
+		sh := newShard(mon, db)
 		shards[w] = sh
 		wg.Add(1)
 		go func(ch <-chan *batch) {
