@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all help test race short bench fuzz fuzz-smoke chaos crash vet
+.PHONY: all help test race short bench bench-smoke fuzz fuzz-smoke chaos crash vet
 
 all: test
 
@@ -13,10 +13,11 @@ help:
 	@echo "  race        race-clean gate: vet + chaos sweep + short suite under -race (archive/recheck run unshortened)"
 	@echo "  short       the suite minus campaign-scale tests"
 	@echo "  bench       all benchmarks, five runs each with -benchmem; folds them into BENCH.json via cmd/benchjson"
+	@echo "  bench-smoke every benchmark once (one iteration each): catches benchmark panics and failed assertions"
 	@echo "  chaos       seeded transport-chaos suite under -race + wire fuzz smoke"
 	@echo "  crash       subprocess SIGKILL matrix: 16 seeded kills of a real monitord under -race"
 	@echo "  fuzz        brief fuzz passes (wire decoder, spec parser, archive segments)"
-	@echo "  fuzz-smoke  10s each of the segment, wire, record-log, ledger, registry, spec-parser and stream-semantics fuzzers"
+	@echo "  fuzz-smoke  10s each of the segment, wire, record-log, CAN-log, ledger, registry, spec-parser and stream-semantics fuzzers"
 	@echo "  vet         go vet everything"
 
 test:
@@ -68,6 +69,13 @@ short:
 bench:
 	$(GO) test -bench=. -benchmem -count=5 -run=^$$ ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH.json
 
+# Every benchmark runs exactly one iteration. The benchmarks carry their
+# own assertions (BenchmarkTableI fails unless six rules are violated),
+# which no test run executes; this keeps them, and the benchmarks
+# themselves, from rotting between `make bench` snapshots.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 # Brief fuzz passes over the parser/formatter, the wire codec and the
 # archive segment reader.
 fuzz: fuzz-smoke
@@ -75,7 +83,8 @@ fuzz: fuzz-smoke
 
 # The deserializers that face bytes an attacker (or a crash) wrote:
 # the archive segment store recovering arbitrary tail damage, the wire
-# decoder, the shared record log's torn-tail rule, the session ledger
+# decoder, the shared record log's torn-tail rule, the CAN capture reader
+# that monitorctl opens operator-supplied logs with, the session ledger
 # and spec registry folds over it — and, since `spec push` started
 # accepting operator uploads into a running daemon, the spec parser and
 # compiler (every refusal must be a positioned error, never a panic).
@@ -86,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSegment -fuzztime=10s ./internal/archive
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzRecordLog -fuzztime=10s ./internal/recordlog
+	$(GO) test -run=^$$ -fuzz=FuzzReadLog -fuzztime=10s ./internal/can
 	$(GO) test -run=^$$ -fuzz=FuzzLedgerFold -fuzztime=10s ./internal/durable
 	$(GO) test -run=^$$ -fuzz=FuzzRegistryFold -fuzztime=10s ./internal/specreg
 	$(GO) test -run=^$$ -fuzz=FuzzSpecParser -fuzztime=10s ./internal/speclang

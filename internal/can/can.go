@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"cpsmon/internal/sigdb"
@@ -44,6 +44,14 @@ func (l *Log) Append(f Frame) error {
 	}
 	l.frames = append(l.frames, f)
 	return nil
+}
+
+// Grow reserves room for at least n more frames, so that the next n
+// appends do not reallocate.
+func (l *Log) Grow(n int) {
+	if n > 0 {
+		l.frames = slices.Grow(l.frames, n)
+	}
 }
 
 // Len returns the number of recorded frames.
@@ -113,7 +121,11 @@ func ReadLog(r io.Reader) (*Log, error) {
 	if count > maxFrames {
 		return nil, fmt.Errorf("can: implausible frame count %d", count)
 	}
-	l := &Log{frames: make([]Frame, 0, count)}
+	// The count is the file's claim, not a fact: reserve at most
+	// maxReserve frames up front and let Append grow the log as records
+	// actually arrive, so a short file cannot make us reserve gigabytes.
+	const maxReserve = 1 << 16
+	l := &Log{frames: make([]Frame, 0, min(count, maxReserve))}
 	var rec [20]byte
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
@@ -135,13 +147,15 @@ func ReadLog(r io.Reader) (*Log, error) {
 // bounded jitter the paper observed: a slow frame occasionally slips by
 // one base tick, so five fast updates land between two slow updates.
 type TxSchedule struct {
-	db         *sigdb.DB
 	base       time.Duration
 	jitterProb float64
 	rng        *rand.Rand
-	next       map[uint32]time.Duration
-	order      []uint32
-	due        []uint32 // reusable Due result buffer
+	// order holds the frame IDs in ascending order; period and next are
+	// parallel to it, so Due walks three slices and hashes nothing.
+	order  []uint32
+	period []time.Duration
+	next   []time.Duration
+	due    []uint32 // reusable Due result buffer
 }
 
 // NewTxSchedule builds a schedule for every frame in the database.
@@ -158,21 +172,22 @@ func NewTxSchedule(db *sigdb.DB, base time.Duration, jitterProb float64, rng *ra
 	if jitterProb > 0 && rng == nil {
 		return nil, errors.New("can: jitter requires a random source")
 	}
+	frames := db.Frames() // sorted by ID
 	s := &TxSchedule{
-		db:         db,
 		base:       base,
 		jitterProb: jitterProb,
 		rng:        rng,
-		next:       make(map[uint32]time.Duration),
+		order:      make([]uint32, len(frames)),
+		period:     make([]time.Duration, len(frames)),
+		next:       make([]time.Duration, len(frames)),
 	}
-	for _, f := range db.Frames() {
+	for i, f := range frames {
 		if f.Period%base != 0 {
 			return nil, fmt.Errorf("can: frame %q period %v is not a multiple of tick %v", f.Name, f.Period, base)
 		}
-		s.next[f.ID] = 0
-		s.order = append(s.order, f.ID)
+		s.order[i] = f.ID
+		s.period[i] = f.Period
 	}
-	sort.Slice(s.order, func(i, j int) bool { return s.order[i] < s.order[j] })
 	return s, nil
 }
 
@@ -182,24 +197,39 @@ func NewTxSchedule(db *sigdb.DB, base time.Duration, jitterProb float64, rng *ra
 // the next call to Due.
 func (s *TxSchedule) Due(now time.Duration) []uint32 {
 	due := s.due[:0]
-	for _, id := range s.order {
-		if s.next[id] > now {
+	for i, id := range s.order {
+		if s.next[i] > now {
 			continue
 		}
 		due = append(due, id)
-		f, _ := s.db.Frame(id)
-		next := s.next[id] + f.Period
-		if f.Period > s.base && s.jitterProb > 0 && s.rng.Float64() < s.jitterProb {
+		period := s.period[i]
+		next := s.next[i] + period
+		if period > s.base && s.jitterProb > 0 && s.rng.Float64() < s.jitterProb {
 			next += s.base
 		}
 		// Catch up if the caller skipped ticks.
 		for next <= now {
-			next += f.Period
+			next += period
 		}
-		s.next[id] = next
+		s.next[i] = next
 	}
 	s.due = due
 	return due
+}
+
+// MaxFrames bounds how many frames Due can return, summed over every
+// call, for times in a window of length span. Consecutive emissions of
+// a frame lie at least its period apart (jitter and catch-up only delay
+// them), so each frame contributes at most span/period+1.
+func (s *TxSchedule) MaxFrames(span time.Duration) int {
+	if span <= 0 {
+		return 0
+	}
+	n := 0
+	for _, p := range s.period {
+		n += int(span/p) + 1
+	}
+	return n
 }
 
 // Bus is a latching broadcast bus. Publishers update their local copies
@@ -211,12 +241,11 @@ func (s *TxSchedule) Due(now time.Duration) []uint32 {
 // arrives, which is the root of the multi-rate sampling issues explored
 // in the paper's Section V.C.1.
 type Bus struct {
-	db    *sigdb.DB
 	sched *TxSchedule
 	// plan packs and unpacks frames against the slot vectors below —
 	// the simulation ticks millions of times per campaign, so the bus
-	// works in flat vectors (one map lookup per Set, none per Step)
-	// instead of allocating a value map per frame.
+	// works in flat vectors (no map lookup per SetSlot, ReadSlot or
+	// Step) instead of allocating a value map per frame.
 	plan    *sigdb.DecodePlan
 	slot    map[string]int
 	pending []float64
@@ -233,7 +262,6 @@ func NewBus(db *sigdb.DB, sched *TxSchedule) *Bus {
 	// cannot fail.
 	plan, _ := db.CompilePlan(names)
 	b := &Bus{
-		db:      db,
 		sched:   sched,
 		plan:    plan,
 		slot:    make(map[string]int, len(names)),
@@ -247,25 +275,40 @@ func NewBus(db *sigdb.DB, sched *TxSchedule) *Bus {
 	return b
 }
 
-// Set updates the publisher-side value of a signal. The new value is not
-// visible to receivers until the carrying frame is next transmitted.
+// Slot resolves a signal name to the integer handle SetSlot and
+// ReadSlot take. Resolve once, when wiring a node to the bus, so that
+// per-tick publishing and reading hash no names.
+func (b *Bus) Slot(name string) (int, bool) {
+	i, ok := b.slot[name]
+	return i, ok
+}
+
+// SetSlot updates the publisher-side value of the signal at slot i. The
+// new value is not visible to receivers until the carrying frame is
+// next transmitted.
+func (b *Bus) SetSlot(i int, v float64) { b.pending[i] = v }
+
+// ReadSlot returns the last broadcast value of the signal at slot i, as
+// any receiver on the bus would observe it.
+func (b *Bus) ReadSlot(i int) float64 { return b.latched[i] }
+
+// Set is SetSlot by signal name.
 func (b *Bus) Set(name string, v float64) error {
 	i, ok := b.slot[name]
 	if !ok {
 		return fmt.Errorf("can: set of unknown signal %q", name)
 	}
-	b.pending[i] = v
+	b.SetSlot(i, v)
 	return nil
 }
 
-// Read returns the last broadcast value of a signal, as any receiver on
-// the bus would observe it.
+// Read is ReadSlot by signal name.
 func (b *Bus) Read(name string) (float64, error) {
 	i, ok := b.slot[name]
 	if !ok {
 		return 0, fmt.Errorf("can: read of unknown signal %q", name)
 	}
-	return b.latched[i], nil
+	return b.ReadSlot(i), nil
 }
 
 // Step transmits every frame due at time now: packs the pending signal

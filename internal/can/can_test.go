@@ -2,8 +2,10 @@ package can
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -85,6 +87,111 @@ func TestReadLogTruncated(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-4]
 	if _, err := ReadLog(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("ReadLog accepted truncated input, want error")
+	}
+}
+
+// TestReadLogClaimedCountDoesNotReserve feeds ReadLog a bare header
+// that claims the largest accepted frame count and carries no records.
+// It must fail on truncation without first reserving room for every
+// claimed frame (that reservation alone would be ~6 GiB).
+func TestReadLogClaimedCountDoesNotReserve(t *testing.T) {
+	hdr := append(logMagic[:], make([]byte, 8)...)
+	binary.LittleEndian.PutUint64(hdr[8:], 1<<28)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadLog(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("ReadLog accepted a header with no records")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+		t.Errorf("ReadLog allocated %d bytes for a 16-byte input, want < 8 MiB", alloc)
+	}
+}
+
+// FuzzReadLog feeds arbitrary bytes to the log reader: it must return a
+// log or an error, never panic, and a log it accepts must survive a
+// write/read round trip unchanged.
+func FuzzReadLog(f *testing.F) {
+	var l Log
+	for i := 0; i < 5; i++ {
+		_ = l.Append(Frame{Time: time.Duration(i) * time.Millisecond, ID: uint32(0x100 + i), Data: [8]byte{byte(i), 1, 2, 3}})
+	}
+	var buf bytes.Buffer
+	if _, err := l.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-7])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadLog(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := got.WriteTo(&out); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		again, err := ReadLog(&out)
+		if err != nil {
+			t.Fatalf("re-read of an accepted log: %v", err)
+		}
+		if again.Len() != got.Len() {
+			t.Fatalf("round trip changed length %d -> %d", got.Len(), again.Len())
+		}
+		for i, fr := range again.Frames() {
+			if fr != got.Frames()[i] {
+				t.Fatalf("frame %d changed in round trip", i)
+			}
+		}
+	})
+}
+
+func TestLogGrowKeepsFramesAndReserves(t *testing.T) {
+	var l Log
+	_ = l.Append(Frame{Time: 1, ID: 7})
+	l.Grow(100)
+	if l.Len() != 1 || l.Frames()[0].ID != 7 {
+		t.Fatalf("Grow changed the log: %+v", l.Frames())
+	}
+	first := &l.Frames()[0]
+	for i := 0; i < 100; i++ {
+		_ = l.Append(Frame{Time: 2})
+	}
+	if &l.Frames()[0] != first {
+		t.Error("appends within the reservation reallocated the log")
+	}
+	l.Grow(-1) // no-op
+}
+
+// TestTxScheduleMaxFramesBounds checks that MaxFrames bounds what a
+// jittered schedule actually emits over windows of several lengths,
+// starting anywhere in the run.
+func TestTxScheduleMaxFramesBounds(t *testing.T) {
+	db := sigdb.Vehicle()
+	s, err := NewTxSchedule(db, sigdb.FastPeriod, 0.5, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatalf("NewTxSchedule: %v", err)
+	}
+	const ticks = 3000
+	perTick := make([]int, ticks)
+	for tick := range perTick {
+		perTick[tick] = len(s.Due(time.Duration(tick) * sigdb.FastPeriod))
+	}
+	for _, span := range []int{1, 3, 4, 7, 40, 1000} {
+		bound := s.MaxFrames(time.Duration(span) * sigdb.FastPeriod)
+		for start := 0; start+span <= ticks; start += 17 {
+			n := 0
+			for _, c := range perTick[start : start+span] {
+				n += c
+			}
+			if n > bound {
+				t.Fatalf("%d frames in %d ticks from tick %d, MaxFrames says at most %d", n, span, start, bound)
+			}
+		}
+	}
+	if got := s.MaxFrames(0); got != 0 {
+		t.Errorf("MaxFrames(0) = %d, want 0", got)
 	}
 }
 
@@ -286,6 +393,27 @@ func TestBusUnknownSignal(t *testing.T) {
 	}
 	if _, err := b.Read("NoSuchSignal"); err == nil {
 		t.Error("Read of unknown signal accepted")
+	}
+}
+
+func TestBusSlotsMatchNames(t *testing.T) {
+	b := newTestBus(t)
+	vel, ok := b.Slot(sigdb.SigVelocity)
+	if !ok {
+		t.Fatal("Slot: Velocity unknown")
+	}
+	if _, ok := b.Slot("NoSuchSignal"); ok {
+		t.Error("Slot resolved an unknown signal")
+	}
+	b.SetSlot(vel, 12.5)
+	if err := b.Step(0); err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+	if got := b.ReadSlot(vel); got != 12.5 {
+		t.Errorf("ReadSlot = %v, want 12.5", got)
+	}
+	if got, _ := b.Read(sigdb.SigVelocity); got != 12.5 {
+		t.Errorf("Read after SetSlot = %v, want 12.5", got)
 	}
 }
 

@@ -121,16 +121,66 @@ type Bench struct {
 	driver  DriverModel
 	feature *fsracc.Controller
 
-	bus *can.Bus
+	bus   *can.Bus
+	sched *can.TxSchedule
+	slots benchSlots
 
-	inject map[string]float64 // enabled injections by signal name
+	// The injection multiplexors, indexed by bus slot: injected[i]
+	// enables the override of signal i with injectVal[i].
+	injected  []bool
+	injectVal []float64
 
 	step          int
 	appliedTorque float64
 	lastOut       fsracc.Outputs
 }
 
-// New assembles a bench from the configuration.
+// benchSlots are the bus slots of the fifteen FSRACC signals the bench
+// publishes and reads every tick, resolved once in New.
+type benchSlots struct {
+	// Inputs, published by the sensor and command nodes.
+	velocity, accelPedPos, brakePedPres, accSetSpeed, throtPos int
+	vehicleAhead, targetRange, targetRelVel, selHeadway        int
+	// Outputs, published by the feature.
+	accEnabled, brakeRequested, torqueRequested int
+	requestedTorque, requestedDecel, serviceACC int
+}
+
+// resolveSlots binds every bench signal to its bus slot, failing on the
+// first signal the database does not define.
+func resolveSlots(bus *can.Bus) (benchSlots, error) {
+	var s benchSlots
+	for _, sig := range [...]struct {
+		name string
+		slot *int
+	}{
+		{sigdb.SigVelocity, &s.velocity},
+		{sigdb.SigAccelPedPos, &s.accelPedPos},
+		{sigdb.SigBrakePedPres, &s.brakePedPres},
+		{sigdb.SigACCSetSpeed, &s.accSetSpeed},
+		{sigdb.SigThrotPos, &s.throtPos},
+		{sigdb.SigVehicleAhead, &s.vehicleAhead},
+		{sigdb.SigTargetRange, &s.targetRange},
+		{sigdb.SigTargetRelVel, &s.targetRelVel},
+		{sigdb.SigSelHeadway, &s.selHeadway},
+		{sigdb.SigACCEnabled, &s.accEnabled},
+		{sigdb.SigBrakeRequested, &s.brakeRequested},
+		{sigdb.SigTorqueRequested, &s.torqueRequested},
+		{sigdb.SigRequestedTorque, &s.requestedTorque},
+		{sigdb.SigRequestedDecel, &s.requestedDecel},
+		{sigdb.SigServiceACC, &s.serviceACC},
+	} {
+		i, ok := bus.Slot(sig.name)
+		if !ok {
+			return s, fmt.Errorf("hil: signal database lacks bench signal %q", sig.name)
+		}
+		*sig.slot = i
+	}
+	return s, nil
+}
+
+// New assembles a bench from the configuration. The database must
+// define every FSRACC input and output signal.
 func New(cfg Config) (*Bench, error) {
 	if cfg.Driver == nil {
 		return nil, errors.New("hil: config requires a Driver")
@@ -162,20 +212,29 @@ func New(cfg Config) (*Bench, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hil: %w", err)
 	}
+	bus := can.NewBus(cfg.DB, sched)
+	slots, err := resolveSlots(bus)
+	if err != nil {
+		return nil, err
+	}
+	nsig := len(cfg.DB.SignalNames())
 	return &Bench{
-		db:       cfg.DB,
-		tick:     cfg.Tick,
-		typeChk:  cfg.TypeChecking,
-		velNoise: cfg.VelocityNoise,
-		rng:      rng,
-		ego:      cfg.Ego,
-		traffic:  cfg.Traffic,
-		radar:    vehicle.NewRadar(radarCfg, rng),
-		grade:    cfg.Grade,
-		driver:   cfg.Driver,
-		feature:  cfg.Feature,
-		bus:      can.NewBus(cfg.DB, sched),
-		inject:   make(map[string]float64),
+		db:        cfg.DB,
+		tick:      cfg.Tick,
+		typeChk:   cfg.TypeChecking,
+		velNoise:  cfg.VelocityNoise,
+		rng:       rng,
+		ego:       cfg.Ego,
+		traffic:   cfg.Traffic,
+		radar:     vehicle.NewRadar(radarCfg, rng),
+		grade:     cfg.Grade,
+		driver:    cfg.Driver,
+		feature:   cfg.Feature,
+		bus:       bus,
+		sched:     sched,
+		slots:     slots,
+		injected:  make([]bool, nsig),
+		injectVal: make([]float64, nsig),
 	}, nil
 }
 
@@ -218,19 +277,22 @@ func (b *Bench) SetInjection(name string, value float64) error {
 			return fmt.Errorf("hil: %w", err)
 		}
 	}
-	b.inject[name] = value
+	i, _ := b.bus.Slot(name) // every FSRACC input resolved in New
+	b.injected[i], b.injectVal[i] = true, value
 	return nil
 }
 
 // ClearInjection disables the multiplexor for one signal, passing the
 // genuine network value through again.
 func (b *Bench) ClearInjection(name string) {
-	delete(b.inject, name)
+	if i, ok := b.bus.Slot(name); ok {
+		b.injected[i] = false
+	}
 }
 
 // ClearAllInjections disables every multiplexor.
 func (b *Bench) ClearAllInjections() {
-	b.inject = make(map[string]float64)
+	clear(b.injected)
 }
 
 func isFSRACCInput(name string) bool {
@@ -242,19 +304,13 @@ func isFSRACCInput(name string) bool {
 	return false
 }
 
-// readInput reads one feature input: the latched bus value, overridden
-// by the injection multiplexor when enabled.
-func (b *Bench) readInput(name string) float64 {
-	if v, ok := b.inject[name]; ok {
-		return v
+// readInput reads the feature input at bus slot i: the latched bus
+// value, overridden by the injection multiplexor when enabled.
+func (b *Bench) readInput(i int) float64 {
+	if b.injected[i] {
+		return b.injectVal[i]
 	}
-	v, err := b.bus.Read(name)
-	if err != nil {
-		// Unreachable for signals in the database; fail loudly if the
-		// wiring is ever broken.
-		panic(err)
-	}
-	return v
+	return b.bus.ReadSlot(i)
 }
 
 // Step advances the co-simulation by one tick.
@@ -280,26 +336,18 @@ func (b *Bench) Step() error {
 	if max := b.ego.Config().MaxEngineTorque; max > 0 {
 		throt = 100 * clamp(b.appliedTorque/max, 0, 1)
 	}
-	// Publish with direct Set calls — this runs every tick of every
-	// campaign scenario, so no per-tick value map.
-	for _, p := range [...]struct {
-		name string
-		v    float64
-	}{
-		{sigdb.SigVelocity, vel},
-		{sigdb.SigThrotPos, throt},
-		{sigdb.SigAccelPedPos, cmd.AccelPedPos},
-		{sigdb.SigBrakePedPres, cmd.BrakePedPres},
-		{sigdb.SigACCSetSpeed, cmd.ACCSetSpeed},
-		{sigdb.SigSelHeadway, cmd.SelHeadway},
-		{sigdb.SigTargetRange, obs.Range},
-		{sigdb.SigTargetRelVel, obs.RelVel},
-		{sigdb.SigVehicleAhead, boolToF(obs.Ahead)},
-	} {
-		if err := b.bus.Set(p.name, p.v); err != nil {
-			return err
-		}
-	}
+	// Publish through the slots resolved in New — this runs every tick
+	// of every campaign scenario, so no name is hashed here.
+	s := &b.slots
+	b.bus.SetSlot(s.velocity, vel)
+	b.bus.SetSlot(s.throtPos, throt)
+	b.bus.SetSlot(s.accelPedPos, cmd.AccelPedPos)
+	b.bus.SetSlot(s.brakePedPres, cmd.BrakePedPres)
+	b.bus.SetSlot(s.accSetSpeed, cmd.ACCSetSpeed)
+	b.bus.SetSlot(s.selHeadway, cmd.SelHeadway)
+	b.bus.SetSlot(s.targetRange, obs.Range)
+	b.bus.SetSlot(s.targetRelVel, obs.RelVel)
+	b.bus.SetSlot(s.vehicleAhead, boolToF(obs.Ahead))
 
 	// 3. Bus transmits the frames due this tick (including the feature
 	// outputs computed last tick, which models ECU pipeline latency).
@@ -310,33 +358,24 @@ func (b *Bench) Step() error {
 	// 4. The feature reads its inputs from the network through the
 	// injection multiplexors and executes one control cycle.
 	in := fsracc.Inputs{
-		Velocity:     b.readInput(sigdb.SigVelocity),
-		AccelPedPos:  b.readInput(sigdb.SigAccelPedPos),
-		BrakePedPres: b.readInput(sigdb.SigBrakePedPres),
-		ACCSetSpeed:  b.readInput(sigdb.SigACCSetSpeed),
-		ThrotPos:     b.readInput(sigdb.SigThrotPos),
-		VehicleAhead: b.readInput(sigdb.SigVehicleAhead) != 0,
-		TargetRange:  b.readInput(sigdb.SigTargetRange),
-		TargetRelVel: b.readInput(sigdb.SigTargetRelVel),
-		SelHeadway:   b.readInput(sigdb.SigSelHeadway),
+		Velocity:     b.readInput(s.velocity),
+		AccelPedPos:  b.readInput(s.accelPedPos),
+		BrakePedPres: b.readInput(s.brakePedPres),
+		ACCSetSpeed:  b.readInput(s.accSetSpeed),
+		ThrotPos:     b.readInput(s.throtPos),
+		VehicleAhead: b.readInput(s.vehicleAhead) != 0,
+		TargetRange:  b.readInput(s.targetRange),
+		TargetRelVel: b.readInput(s.targetRelVel),
+		SelHeadway:   b.readInput(s.selHeadway),
 	}
 	out := b.feature.Step(dt, in)
 	b.lastOut = out
-	for _, p := range [...]struct {
-		name string
-		v    float64
-	}{
-		{sigdb.SigACCEnabled, boolToF(out.ACCEnabled)},
-		{sigdb.SigBrakeRequested, boolToF(out.BrakeRequested)},
-		{sigdb.SigTorqueRequested, boolToF(out.TorqueRequested)},
-		{sigdb.SigRequestedTorque, out.RequestedTorque},
-		{sigdb.SigRequestedDecel, out.RequestedDecel},
-		{sigdb.SigServiceACC, boolToF(out.ServiceACC)},
-	} {
-		if err := b.bus.Set(p.name, p.v); err != nil {
-			return err
-		}
-	}
+	b.bus.SetSlot(s.accEnabled, boolToF(out.ACCEnabled))
+	b.bus.SetSlot(s.brakeRequested, boolToF(out.BrakeRequested))
+	b.bus.SetSlot(s.torqueRequested, boolToF(out.TorqueRequested))
+	b.bus.SetSlot(s.requestedTorque, out.RequestedTorque)
+	b.bus.SetSlot(s.requestedDecel, out.RequestedDecel)
+	b.bus.SetSlot(s.serviceACC, boolToF(out.ServiceACC))
 
 	// 5. Actuation ECUs apply the feature's requests from the network
 	// (latched, so one tick behind) plus the driver's pedals. Unlike
@@ -353,21 +392,15 @@ func (b *Bench) Step() error {
 // actuation derives the applied engine torque and brake deceleration
 // from the broadcast feature outputs and the driver pedals.
 func (b *Bench) actuation(cmd DriverCommands) (torque, decel float64) {
-	read := func(name string) float64 {
-		v, err := b.bus.Read(name)
-		if err != nil {
-			panic(err)
-		}
-		return v
-	}
-	enabled := read(sigdb.SigACCEnabled) != 0
-	if enabled && read(sigdb.SigTorqueRequested) != 0 {
-		if t := read(sigdb.SigRequestedTorque); isFiniteF(t) && t > 0 {
+	s, bus := &b.slots, b.bus
+	enabled := bus.ReadSlot(s.accEnabled) != 0
+	if enabled && bus.ReadSlot(s.torqueRequested) != 0 {
+		if t := bus.ReadSlot(s.requestedTorque); isFiniteF(t) && t > 0 {
 			torque = t
 		}
 	}
-	if enabled && read(sigdb.SigBrakeRequested) != 0 {
-		if d := read(sigdb.SigRequestedDecel); isFiniteF(d) && d < 0 {
+	if enabled && bus.ReadSlot(s.brakeRequested) != 0 {
+		if d := bus.ReadSlot(s.requestedDecel); isFiniteF(d) && d < 0 {
 			decel = -d
 		}
 	}
@@ -390,7 +423,11 @@ func (b *Bench) actuation(cmd DriverCommands) (torque, decel float64) {
 // Run advances the bench until d has elapsed, invoking onTick (when not
 // nil) before every step. Campaign scripts use the hook to drive the
 // injection multiplexors, mirroring the paper's rtplib scripting.
+//
+// Run first reserves log room for every frame the schedule can emit
+// before d, so the capture never regrows mid-run.
 func (b *Bench) Run(d time.Duration, onTick func(t time.Duration, b *Bench) error) error {
+	b.bus.Log().Grow(b.sched.MaxFrames(d - b.Now()))
 	for b.Now() < d {
 		if onTick != nil {
 			if err := onTick(b.Now(), b); err != nil {

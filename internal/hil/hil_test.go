@@ -2,9 +2,11 @@ package hil
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"cpsmon/internal/can"
 	"cpsmon/internal/fsracc"
 	"cpsmon/internal/sigdb"
 	"cpsmon/internal/trace"
@@ -164,7 +166,7 @@ func TestClearAllInjections(t *testing.T) {
 		t.Fatalf("SetInjection: %v", err)
 	}
 	b.ClearAllInjections()
-	if got := b.readInput(sigdb.SigVelocity); got == 5 {
+	if got := b.readInput(b.slots.velocity); got == 5 {
 		t.Error("injection still active after ClearAllInjections")
 	}
 }
@@ -263,3 +265,53 @@ var errHook = errTest("hook")
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
+
+// TestNewRejectsDBMissingBenchSignal builds the vehicle database without
+// ServiceACC: the bench cannot publish the feature's outputs onto it,
+// so New must refuse it instead of failing later, mid-run.
+func TestNewRejectsDBMissingBenchSignal(t *testing.T) {
+	db := sigdb.New()
+	for _, f := range sigdb.Vehicle().Frames() {
+		g := &sigdb.FrameDef{ID: f.ID, Name: f.Name, Period: f.Period}
+		for _, s := range f.Signals {
+			if s.Name != sigdb.SigServiceACC {
+				g.Signals = append(g.Signals, s)
+			}
+		}
+		if err := db.AddFrame(g); err != nil {
+			t.Fatalf("AddFrame: %v", err)
+		}
+	}
+	_, err := New(Config{
+		DB:     db,
+		Driver: DriverFunc(func(time.Duration) DriverCommands { return DriverCommands{} }),
+	})
+	if err == nil || !strings.Contains(err.Error(), sigdb.SigServiceACC) {
+		t.Fatalf("New over a database without %s: err = %v, want one naming it", sigdb.SigServiceACC, err)
+	}
+}
+
+// TestRunReservesLog checks that Run sizes the capture up front: the
+// log's backing array never moves while Run appends to it, including
+// on a second Run that continues the first.
+func TestRunReservesLog(t *testing.T) {
+	b := freeRoadBench(t, true)
+	for _, until := range []time.Duration{3 * time.Second, 5 * time.Second} {
+		var first *can.Frame
+		err := b.Run(until, func(_ time.Duration, b *Bench) error {
+			frames := b.Log().Frames()
+			if len(frames) == 0 {
+				return nil
+			}
+			if first == nil {
+				first = &frames[0]
+			} else if &frames[0] != first {
+				return errTest("log regrew during Run")
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("Run(%v): %v", until, err)
+		}
+	}
+}
