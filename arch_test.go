@@ -346,7 +346,8 @@ func TestSignalDatabaseStaysStandardLibraryOnly(t *testing.T) {
 
 // TestSignalDatabaseExportedTypeSurface pins sigdb's exported types:
 // the database itself, its schema vocabulary, and the compiled
-// DecodePlan — the one hot-path decode surface. Growing this set is a
+// DecodePlan with the per-frame FramePlan its Lookup resolves — the
+// hot-path codec surface. Growing this set is a
 // deliberate API decision, not a side effect; update the list here when
 // it is.
 func TestSignalDatabaseExportedTypeSurface(t *testing.T) {
@@ -354,6 +355,7 @@ func TestSignalDatabaseExportedTypeSurface(t *testing.T) {
 		"DB":         true,
 		"DecodePlan": true,
 		"FrameDef":   true,
+		"FramePlan":  true,
 		"Kind":       true,
 		"Signal":     true,
 	}

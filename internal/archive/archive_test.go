@@ -512,6 +512,52 @@ func buildInterleavedArchive(t testing.TB, dir string, nSessions, rounds int) {
 	}
 }
 
+// TestShardFilterPartitions checks the session-modulo shard filter:
+// for each shard count, the shards' records are pairwise disjoint,
+// together equal the unfiltered query, and each shard keeps archive
+// order.
+func TestShardFilterPartitions(t *testing.T) {
+	dir := t.TempDir()
+	buildInterleavedArchive(t, dir, 7, 6)
+	cat, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatalf("OpenCatalog: %v", err)
+	}
+	all := collect(t, cat.Iter(Query{}))
+	if len(cat.Segments()) < 2 || len(all) == 0 {
+		t.Fatalf("fixture too small: %d segments, %d records", len(cat.Segments()), len(all))
+	}
+	for _, shards := range []uint64{2, 3, 4} {
+		bySeq := make(map[uint64]Record)
+		for shard := uint64(0); shard < shards; shard++ {
+			recs := collect(t, cat.Iter(Query{Shard: shard, Shards: shards}))
+			if len(recs) == 0 {
+				t.Fatalf("shards=%d: shard %d matched nothing", shards, shard)
+			}
+			for i, r := range recs {
+				if r.Session%shards != shard {
+					t.Fatalf("shards=%d: shard %d served session %d", shards, shard, r.Session)
+				}
+				if i > 0 && r.Seq <= recs[i-1].Seq {
+					t.Fatalf("shards=%d: shard %d out of archive order at seq %d", shards, shard, r.Seq)
+				}
+				if _, dup := bySeq[r.Seq]; dup {
+					t.Fatalf("shards=%d: seq %d served by two shards", shards, r.Seq)
+				}
+				bySeq[r.Seq] = r
+			}
+		}
+		if len(bySeq) != len(all) {
+			t.Fatalf("shards=%d: shards hold %d records, unfiltered query %d", shards, len(bySeq), len(all))
+		}
+		for _, want := range all {
+			if got := bySeq[want.Seq]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d: seq %d differs from the unfiltered query:\ngot  %+v\nwant %+v", shards, want.Seq, got, want)
+			}
+		}
+	}
+}
+
 // TestIteratorCloseIdempotentMidIteration pins the documented Close
 // contract for the sequential iterator: closing mid-iteration (current
 // record in hand) is safe, closing twice is safe, and neither disturbs

@@ -321,6 +321,13 @@ type Query struct {
 	// Kinds is a Kind mask; zero selects KindAll — every trace kind,
 	// but not epoch markers, which must be requested explicitly.
 	Kinds Kind
+	// Shards, when above one, keeps only the records whose session
+	// number modulo Shards equals Shard: the queries for Shard 0 to
+	// Shards-1 partition the unfiltered query, each in archive order.
+	// A record of another shard is still read and checksummed, so
+	// corruption abandons a segment in every shard alike, but it is
+	// not decoded.
+	Shard, Shards uint64
 }
 
 // skipsSegment reports whether the query can never match a record in
@@ -374,7 +381,9 @@ type Iterator struct {
 	br  *bufio.Reader
 	off int64
 	end int64
+	pos uint64
 
+	lenb     [4]byte // record length prefix; a field so reading it does not allocate
 	buf      []byte
 	frames   []can.Frame
 	vehicles map[string]string
@@ -413,6 +422,7 @@ func (it *Iterator) Next() bool {
 			it.closeSegment()
 			continue
 		}
+		it.pos = env.seq
 		if !it.match(env) {
 			continue
 		}
@@ -436,6 +446,7 @@ func (it *Iterator) openNext() bool {
 		if it.q.skipsSegment(seg.info) {
 			continue
 		}
+		it.pos = seg.info.FirstSeq
 		f, err := os.Open(seg.info.Path)
 		if err != nil {
 			it.err = fmt.Errorf("archive: %w", err)
@@ -467,12 +478,11 @@ func (it *Iterator) readBody() ([]byte, bool) {
 		it.closeSegment()
 		return nil, false
 	}
-	var lenb [4]byte
-	if _, err := io.ReadFull(it.br, lenb[:]); err != nil {
+	if _, err := io.ReadFull(it.br, it.lenb[:]); err != nil {
 		it.closeSegment()
 		return nil, false
 	}
-	n := binary.LittleEndian.Uint32(lenb[:])
+	n := binary.LittleEndian.Uint32(it.lenb[:])
 	if n < minRecordLen || n > maxRecordLen || it.off+4+int64(n) > it.end {
 		countCorrupt()
 		it.closeSegment()
@@ -501,6 +511,9 @@ func (it *Iterator) closeSegment() {
 // an envelope.
 func (it *Iterator) match(env envelope) bool {
 	if it.q.Session != 0 && env.session != it.q.Session {
+		return false
+	}
+	if it.q.Shards > 1 && env.session%it.q.Shards != it.q.Shard {
 		return false
 	}
 	if it.q.Vehicle != "" && string(env.vehicle) != it.q.Vehicle {
@@ -682,6 +695,13 @@ func (it *Iterator) Record() *Record { return &it.rec }
 
 // Err returns the error that terminated iteration, if any.
 func (it *Iterator) Err() error { return it.err }
+
+// Pos returns the archive position iteration has reached: the
+// sequence number of the last record read, matched or not, or the
+// first sequence number of a segment being opened. After Next fails,
+// it places Err in archive order — the record that failed to decode,
+// or the first record of the segment that failed to open.
+func (it *Iterator) Pos() uint64 { return it.pos }
 
 // Close releases the iterator's open segment file. It is idempotent
 // and safe to call mid-iteration — including right after a true Next,

@@ -316,19 +316,18 @@ func (b *Bus) Read(name string) (float64, error) {
 // receivers.
 func (b *Bus) Step(now time.Duration) error {
 	for _, id := range b.sched.Due(now) {
-		data, err := b.plan.PackFrom(id, b.pending)
-		if err != nil {
-			return err
+		fp := b.plan.Lookup(id)
+		if fp == nil {
+			return sigdb.ErrUnknownFrame
 		}
+		data := fp.Pack(b.pending)
 		if err := b.log.Append(Frame{Time: now, ID: id, Data: data}); err != nil {
 			return err
 		}
 		// Latch what actually went over the wire (float32 precision,
 		// saturated enums), not the publisher's float64 copy, so that
 		// receivers and the offline monitor observe identical values.
-		if _, err := b.plan.UnpackInto(id, data, b.latched); err != nil {
-			return err
-		}
+		fp.Unpack(data, b.latched)
 	}
 	return nil
 }

@@ -52,11 +52,12 @@ type OnlineMonitor struct {
 	// and Close; see the event-lifetime contract on PushFrame.
 	events []OnlineEvent
 
-	pending  int           // the step currently accumulating frames
-	queued   bool          // steps pushed to the checker since the last flush
-	lastTime time.Duration // time of the newest accepted frame
-	sawFrame bool
-	closed   bool
+	pending    int           // the step currently accumulating frames
+	pendingEnd time.Duration // its window's end, pending*period
+	queued     bool          // steps pushed to the checker since the last flush
+	lastTime   time.Duration // time of the newest accepted frame
+	sawFrame   bool
+	closed     bool
 
 	// met, when non-nil, receives frame/step/event accounting; see
 	// Instrument and metrics.go. All updates are atomic, so the
@@ -132,7 +133,7 @@ func (o *OnlineMonitor) PushFrame(f can.Frame) ([]OnlineEvent, error) {
 	}
 	o.events = o.events[:0]
 	defer o.publish()
-	err := o.push(f)
+	err := o.push(&f)
 	if ferr := o.flush(); err == nil {
 		err = ferr
 	}
@@ -156,7 +157,8 @@ func (o *OnlineMonitor) PushFrames(frames []can.Frame) (events []OnlineEvent, re
 	}
 	o.events = o.events[:0]
 	defer o.publish()
-	for _, f := range frames {
+	for i := range frames {
+		f := &frames[i]
 		if o.sawFrame && f.Time < o.lastTime {
 			rejected++
 			o.nStale++
@@ -177,9 +179,9 @@ func (o *OnlineMonitor) PushFrames(frames []can.Frame) (events []OnlineEvent, re
 
 // push feeds one in-order frame, appending decided events to the
 // scratch buffer.
-func (o *OnlineMonitor) push(f can.Frame) error {
-	dst, ok := o.plan.Dst(f.ID)
-	if !ok {
+func (o *OnlineMonitor) push(f *can.Frame) error {
+	fp := o.plan.Lookup(f.ID)
+	if fp == nil {
 		return nil
 	}
 	o.nDecoded++
@@ -187,29 +189,22 @@ func (o *OnlineMonitor) push(f can.Frame) error {
 	o.lastTime = f.Time
 
 	// The frame belongs to the step whose window (stepTime-period,
-	// stepTime] contains its timestamp.
-	k := int((f.Time + o.period - 1) / o.period)
-
-	// Finalize every step strictly before k.
-	for o.pending < k {
+	// stepTime] contains its timestamp: finalize every pending step
+	// whose window ends before it.
+	for f.Time > o.pendingEnd {
 		if err := o.finalizeStep(); err != nil {
 			return err
 		}
 	}
 
-	// Decode straight into the latched vector: no map, no hashing.
+	// Decode straight into the latched vector and mark the fresh
+	// signals: no map, no hashing, one plan lookup.
 	if o.timing {
 		t0 := time.Now()
-		_, err := o.plan.UnpackInto(f.ID, f.Data, o.latched)
+		fp.Latch(f.Data, o.latched, o.updated)
 		o.decodeNanos += int64(time.Since(t0))
-		if err != nil {
-			return err
-		}
-	} else if _, err := o.plan.UnpackInto(f.ID, f.Data, o.latched); err != nil {
-		return err
-	}
-	for _, di := range dst {
-		o.updated[di] = true
+	} else {
+		fp.Latch(f.Data, o.latched, o.updated)
 	}
 	return nil
 }
@@ -258,6 +253,7 @@ func (o *OnlineMonitor) finalizeStep() error {
 		o.updated[i] = false
 	}
 	o.pending++
+	o.pendingEnd += o.period
 	if len(evs) > 0 {
 		o.convert(evs)
 	}

@@ -608,3 +608,49 @@ func TestOnlineEventScratchReuse(t *testing.T) {
 		t.Fatalf("only %d non-empty event returns; aliasing not exercised", returns)
 	}
 }
+
+// TestOnlineStepBoundaries pins which step a frame lands in: the step
+// whose window (stepTime-period, stepTime] contains its timestamp. A
+// frame exactly on a step time closes every step before that one, a
+// frame one nanosecond past it closes that step too, a frame at t=0
+// closes nothing, and frames with equal timestamps share a step. The
+// monitor tracks the pending step's end instead of dividing per frame;
+// the table states the expected steps outright.
+func TestOnlineStepBoundaries(t *testing.T) {
+	m := testMonitor(t)
+	p := m.period
+	for _, tc := range []struct {
+		name  string
+		times []time.Duration
+		// pending is the step accumulating frames after each push —
+		// the count of finalized steps.
+		pending []int
+	}{
+		{"at zero", []time.Duration{0}, []int{0}},
+		{"equal at zero", []time.Duration{0, 0}, []int{0, 0}},
+		{"one ns", []time.Duration{1}, []int{1}},
+		{"on boundary", []time.Duration{p}, []int{1}},
+		{"one ns past boundary", []time.Duration{p + 1}, []int{2}},
+		{"equal on boundary", []time.Duration{p, p, p}, []int{1, 1, 1}},
+		{"boundary then past", []time.Duration{p, p + 1, 2 * p, 2*p + 1}, []int{1, 2, 2, 3}},
+		{"skips steps", []time.Duration{0, 3 * p, 3*p + 1, 7*p - 1}, []int{0, 3, 4, 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			om, err := m.Online(sigdb.Vehicle())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, at := range tc.times {
+				if _, err := om.PushFrame(can.Frame{Time: at, ID: sigdb.FrameVehicleDyn}); err != nil {
+					t.Fatal(err)
+				}
+				if om.pending != tc.pending[i] {
+					t.Fatalf("frame %d at %v: pending step %d, want %d", i, at, om.pending, tc.pending[i])
+				}
+				if want := time.Duration(om.pending) * p; om.pendingEnd != want {
+					t.Fatalf("frame %d at %v: pending step ends at %v, want %v", i, at, om.pendingEnd, want)
+				}
+			}
+		})
+	}
+}

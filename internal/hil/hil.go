@@ -424,10 +424,10 @@ func (b *Bench) actuation(cmd DriverCommands) (torque, decel float64) {
 // nil) before every step. Campaign scripts use the hook to drive the
 // injection multiplexors, mirroring the paper's rtplib scripting.
 //
-// Run first reserves log room for every frame the schedule can emit
-// before d, so the capture never regrows mid-run.
+// Run first reserves log room up to d (see Reserve), so the capture
+// never regrows mid-run.
 func (b *Bench) Run(d time.Duration, onTick func(t time.Duration, b *Bench) error) error {
-	b.bus.Log().Grow(b.sched.MaxFrames(d - b.Now()))
+	b.Reserve(d)
 	for b.Now() < d {
 		if onTick != nil {
 			if err := onTick(b.Now(), b); err != nil {
@@ -439,6 +439,12 @@ func (b *Bench) Run(d time.Duration, onTick func(t time.Duration, b *Bench) erro
 		}
 	}
 	return nil
+}
+
+// Reserve grows the capture log for every frame the transmit schedule
+// can emit from now until d.
+func (b *Bench) Reserve(d time.Duration) {
+	b.bus.Log().Grow(b.sched.MaxFrames(d - b.Now()))
 }
 
 func boolToF(v bool) float64 {

@@ -47,7 +47,7 @@ func Instrument(reg *obs.Registry) {
 			"Wall-clock duration of recheck runs.",
 			obs.ExpBuckets(1e-3, 4, 12)),
 		busySecs: reg.Histogram("cpsmon_recheck_worker_busy_seconds",
-			"Per-worker replay time per sharded run; utilization is this over the run duration.",
+			"Per-worker archive read and replay time per sharded run; utilization is this over the run duration.",
 			obs.ExpBuckets(1e-3, 4, 12)),
 		throughput: reg.Gauge("cpsmon_recheck_frames_per_second",
 			"Replay throughput of the most recent recheck run."),
@@ -55,16 +55,7 @@ func Instrument(reg *obs.Registry) {
 	metrics.Store(m)
 }
 
-// countRecord records one archive record consumed by the sequential
-// engine.
-func countRecord() {
-	if m := metrics.Load(); m != nil {
-		m.records.Inc()
-	}
-}
-
-// countRecords records a batch of records consumed by the sharded
-// engine.
+// countRecords records the archive records a run consumed.
 func countRecords(n uint64) {
 	if m := metrics.Load(); m != nil {
 		m.records.Add(n)

@@ -15,17 +15,20 @@
 // (frames dropped, rejected) describe the original transport and are
 // not reproducible from the archive.
 //
-// Recheck is an offline batch job, so it parallelizes freely: one
-// reader walks the archive in order and routes each record to a worker
-// pool sharded by session (Options.Workers). The sharding is
-// deterministic — every session is wholly owned by one worker and its
+// Recheck is an offline batch job, so it parallelizes freely: each of
+// Options.Workers shards reads the archive through its own iterator,
+// filtered to the sessions it owns (session number modulo worker
+// count), and replays those records in place. The sharding is
+// deterministic — every session is wholly owned by one shard and its
 // records arrive in archive order, and the final report is assembled
 // in sorted session order — so the report is identical at any worker
-// count, byte for byte.
+// count, byte for byte, and so is the error of a failed run.
 package recheck
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -33,7 +36,6 @@ import (
 	"time"
 
 	"cpsmon/internal/archive"
-	"cpsmon/internal/can"
 	"cpsmon/internal/core"
 	"cpsmon/internal/sigdb"
 	"cpsmon/internal/speclang"
@@ -131,13 +133,13 @@ type tally struct {
 
 // Run replays the selected archive range through a monitor compiled
 // from cfg and reports per-session, per-rule agreement with the
-// archived verdicts. The archive is read in one pass; interleaved
-// sessions each get their own monitor instance over the shared
-// compiled spec. With Options.Workers above one, sessions are sharded
-// onto that many replay workers (session number modulo worker count)
-// fed by one sequential archive reader; any error — a worker-side replay
-// failure or an iterator decode failure — surfaces as the one error
-// Run returns, never a hang.
+// archived verdicts. Interleaved sessions each get their own monitor
+// instance over the shared compiled spec. With Options.Workers above
+// one, sessions are sharded onto that many replay workers (session
+// number modulo worker count), each reading the archive on its own.
+// Any error — a replay failure or an archive decode failure — ends the
+// run, never a hang, and the error returned is the one the sequential
+// engine returns: the earliest in archive order.
 func Run(cat *archive.Catalog, db *sigdb.DB, cfg core.Config, opt Options) (*Report, error) {
 	start := time.Now()
 	if opt.Workers < 0 {
@@ -180,37 +182,13 @@ func Run(cat *archive.Catalog, db *sigdb.DB, cfg core.Config, opt Options) (*Rep
 }
 
 // runSequential is the single-threaded replay and the reference the
-// sharded engine is tested against: one shard driven inline over the
-// sequential iterator, with no goroutine and no batches.
+// sharded engine is tested against: one shard over the unfiltered
+// query, driven inline.
 func runSequential(cat *archive.Catalog, db *sigdb.DB, mon *core.Monitor, q archive.Query) (map[uint64]*replay, error) {
 	sh := newShard(mon, db)
-	it := cat.Iter(q)
-	defer it.Close()
-	for it.Next() {
-		countRecord()
-		if err := sh.apply(it.Record()); err != nil {
-			return nil, err
-		}
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return sh.sessions, nil
-}
-
-// shardBatch is how many records the reader accumulates per shard
-// before handing them to the worker — large enough to amortize the
-// channel transfer, small enough to keep every shard busy on
-// interleaved archives.
-const shardBatch = 64
-
-// batch is the unit of reader-to-shard transfer: record copies with
-// their frames moved into a batch-owned arena, since the iterator's
-// frame buffer is scratch that must not cross a goroutine boundary by
-// reference.
-type batch struct {
-	recs   []archive.Record
-	frames []can.Frame
+	sh.replayAll(cat.Iter(q), nil)
+	countRecords(sh.records)
+	return sh.sessions, sh.err
 }
 
 // shard is one replay's private session state. Sharded workers are
@@ -220,12 +198,52 @@ type shard struct {
 	mon      *core.Monitor
 	db       *sigdb.DB
 	sessions map[uint64]*replay
-	err      error
-	busy     time.Duration
+	records  uint64
+	// err is the shard's first failure and errSeq its archive
+	// position: the sequence number of the record it arose at.
+	err    error
+	errSeq uint64
 }
 
 func newShard(mon *core.Monitor, db *sigdb.DB) *shard {
 	return &shard{mon: mon, db: db, sessions: make(map[uint64]*replay)}
+}
+
+// replayAll drives the shard over its iterator until the iterator ends
+// or fails, the shard fails, or — when stop is non-nil — the iterator
+// is past the archive position in stop, the earliest failure any shard
+// has recorded so far. Records before that position still replay, so
+// a shard never stops short of an earlier failure of its own. Records
+// are applied in place: their frames are the iterator's scratch, done
+// with before the next Next.
+func (s *shard) replayAll(it *archive.Iterator, stop *atomic.Uint64) {
+	defer it.Close()
+	for it.Next() {
+		rec := it.Record()
+		if stop != nil && rec.Seq > stop.Load() {
+			return
+		}
+		s.records++
+		if err := s.apply(rec); err != nil {
+			s.fail(rec.Seq, err, stop)
+			return
+		}
+	}
+	if err := it.Err(); err != nil {
+		s.fail(it.Pos(), err, stop)
+	}
+}
+
+// fail records the shard's failure at archive position seq and lowers
+// stop to it unless another shard already failed earlier.
+func (s *shard) fail(seq uint64, err error, stop *atomic.Uint64) {
+	s.err, s.errSeq = err, seq
+	for stop != nil {
+		cur := stop.Load()
+		if seq >= cur || stop.CompareAndSwap(cur, seq) {
+			return
+		}
+	}
 }
 
 // apply folds one record into its session's replay, creating the
@@ -241,16 +259,6 @@ func (s *shard) apply(rec *archive.Record) error {
 		s.sessions[rec.Session] = r
 	}
 	return r.apply(rec)
-}
-
-// process replays one batch.
-func (s *shard) process(b *batch) error {
-	for i := range b.recs {
-		if err := s.apply(&b.recs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // apply folds one archived record into the session's replay state.
@@ -271,100 +279,46 @@ func (r *replay) apply(rec *archive.Record) error {
 	return nil
 }
 
-// runSharded fans the archive pass over a worker pool: a reader walks
-// the sequential iterator and routes each record to its session's
-// shard. A failing shard raises a flag the reader polls, so the scan
-// is closed mid-iteration instead of replaying to the end; the workers
-// drain their channels without processing, and the first error (in
-// shard order, then the iterator's) is returned.
+// runSharded replays the archive on one goroutine per shard. Each
+// shard reads the archive itself through its own iterator, filtered to
+// the sessions it owns, so records are decoded in parallel and never
+// copied between goroutines. The error returned is the one the
+// sequential engine returns — the earliest in archive order — whichever
+// shard reached its failure first.
 func runSharded(cat *archive.Catalog, db *sigdb.DB, mon *core.Monitor, q archive.Query, workers int) (map[uint64]*replay, []time.Duration, error) {
-	it := cat.Iter(q)
-	defer it.Close()
-
-	var pool sync.Pool
-	pool.New = func() any { return new(batch) }
-	chans := make([]chan *batch, workers)
 	shards := make([]*shard, workers)
-	var failed atomic.Bool
+	busy := make([]time.Duration, workers)
+	var stop atomic.Uint64
+	stop.Store(math.MaxUint64)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		chans[w] = make(chan *batch, 4)
+	for w := range shards {
 		sh := newShard(mon, db)
 		shards[w] = sh
+		sq := q
+		sq.Shard, sq.Shards = uint64(w), uint64(workers)
 		wg.Add(1)
-		go func(ch <-chan *batch) {
+		go func() {
 			defer wg.Done()
-			for b := range ch {
-				if sh.err == nil {
-					t0 := time.Now()
-					if err := sh.process(b); err != nil {
-						sh.err = err
-						failed.Store(true)
-					}
-					sh.busy += time.Since(t0)
-				}
-				b.recs, b.frames = b.recs[:0], b.frames[:0]
-				pool.Put(b)
-			}
-		}(chans[w])
-	}
-
-	cur := make([]*batch, workers)
-	flush := func(w int) {
-		if cur[w] != nil && len(cur[w].recs) > 0 {
-			chans[w] <- cur[w]
-			cur[w] = nil
-		}
-	}
-	records := uint64(0)
-	for it.Next() {
-		if failed.Load() {
-			break // a shard already failed: stop scanning early
-		}
-		rec := *it.Record()
-		records++
-		w := int(rec.Session % uint64(workers))
-		b := cur[w]
-		if b == nil {
-			b = pool.Get().(*batch)
-			cur[w] = b
-		}
-		if len(rec.Frames) > 0 {
-			// Copy into the batch arena; records sliced from it stay
-			// valid across later appends (old backing arrays persist).
-			at := len(b.frames)
-			b.frames = append(b.frames, rec.Frames...)
-			rec.Frames = b.frames[at:len(b.frames):len(b.frames)]
-		}
-		b.recs = append(b.recs, rec)
-		if len(b.recs) >= shardBatch {
-			flush(w)
-		}
-	}
-	readErr := it.Err()
-	it.Close()
-	for w := range chans {
-		flush(w)
-		close(chans[w])
+			t0 := time.Now()
+			sh.replayAll(cat.Iter(sq), &stop)
+			busy[w] = time.Since(t0)
+		}()
 	}
 	wg.Wait()
-	countRecords(records)
 
-	busy := make([]time.Duration, workers)
-	for w, sh := range shards {
-		busy[w] = sh.busy
-		if sh.err != nil {
-			return nil, nil, sh.err
-		}
-	}
-	if readErr != nil {
-		return nil, nil, readErr
-	}
+	var records uint64
+	var failed *shard
 	merged := make(map[uint64]*replay)
 	for _, sh := range shards {
-		for id, r := range sh.sessions {
-			merged[id] = r
+		records += sh.records
+		if sh.err != nil && (failed == nil || sh.errSeq < failed.errSeq) {
+			failed = sh
 		}
+		maps.Copy(merged, sh.sessions)
+	}
+	countRecords(records)
+	if failed != nil {
+		return nil, nil, failed.err
 	}
 	return merged, busy, nil
 }

@@ -22,8 +22,11 @@ type planEntry struct {
 	dst   int32  // destination index in the caller's value vector
 }
 
-// framePlan is the compiled decoder for one frame ID.
-type framePlan struct {
+// FramePlan is the compiled codec of one frame ID, resolved by
+// DecodePlan.Lookup. A caller that both recognizes and decodes a frame,
+// or packs and then latches it, resolves the ID once and works through
+// the FramePlan.
+type FramePlan struct {
 	entries []planEntry
 	// names mirrors entries for the map-building compatibility path.
 	names []string
@@ -54,7 +57,7 @@ type DecodePlan struct {
 	// buses use 11-bit identifiers, so the dense path is the norm.
 	dense []int32
 	byID  map[uint32]int32
-	plans []framePlan
+	plans []FramePlan
 }
 
 // maxDenseID bounds the directly-indexed frame ID table: it covers the
@@ -93,7 +96,7 @@ func (db *DB) CompilePlan(order []string) (*DecodePlan, error) {
 		}
 	}
 	for _, f := range frames {
-		fp := framePlan{}
+		fp := FramePlan{}
 		for _, s := range f.Signals {
 			di, ok := index[s.Name]
 			if !ok {
@@ -120,8 +123,9 @@ func (db *DB) CompilePlan(order []string) (*DecodePlan, error) {
 	return p, nil
 }
 
-// lookup resolves a frame ID to its compiled plan, nil when unknown.
-func (p *DecodePlan) lookup(id uint32) *framePlan {
+// Lookup resolves a frame ID to its compiled plan, nil when the plan
+// was not compiled for it.
+func (p *DecodePlan) Lookup(id uint32) *FramePlan {
 	if p.dense != nil {
 		if int64(id) < int64(len(p.dense)) {
 			if i := p.dense[id]; i >= 0 {
@@ -142,14 +146,14 @@ func (p *DecodePlan) Width() int { return p.width }
 
 // Knows reports whether the plan was compiled for the given frame ID.
 // Unknown IDs are foreign traffic a passive listener ignores.
-func (p *DecodePlan) Knows(id uint32) bool { return p.lookup(id) != nil }
+func (p *DecodePlan) Knows(id uint32) bool { return p.Lookup(id) != nil }
 
 // Dst returns the destination indices the given frame decodes into, in
 // the frame's declared signal order (restricted to signals present in
 // the compiled ordering). The slice is shared with the plan and must
 // not be modified. ok is false for unknown frame IDs.
 func (p *DecodePlan) Dst(id uint32) (dst []int, ok bool) {
-	fp := p.lookup(id)
+	fp := p.Lookup(id)
 	if fp == nil {
 		return nil, false
 	}
@@ -207,20 +211,26 @@ func encodeRaw(kind Kind, mask uint64, v float64) uint64 {
 // as zero, exactly as Pack encodes signals missing from its map. src
 // must be at least Width() long.
 func (p *DecodePlan) PackFrom(id uint32, src []float64) ([8]byte, error) {
-	var data [8]byte
-	fp := p.lookup(id)
+	fp := p.Lookup(id)
 	if fp == nil {
-		return data, ErrUnknownFrame
+		return [8]byte{}, ErrUnknownFrame
 	}
 	if len(src) < p.width {
-		return data, fmt.Errorf("sigdb: plan: source holds %d values, plan width is %d", len(src), p.width)
+		return [8]byte{}, fmt.Errorf("sigdb: plan: source holds %d values, plan width is %d", len(src), p.width)
 	}
+	return fp.Pack(src), nil
+}
+
+// Pack is PackFrom on a resolved frame. src must be at least the
+// plan's Width() long.
+func (fp *FramePlan) Pack(src []float64) [8]byte {
 	var word uint64
 	for _, e := range fp.entries {
 		word |= (encodeRaw(e.kind, e.mask, src[e.dst]) & e.mask) << e.shift
 	}
+	var data [8]byte
 	binary.LittleEndian.PutUint64(data[:], word)
-	return data, nil
+	return data
 }
 
 // UnpackInto decodes the 8-byte payload of the given frame directly
@@ -231,16 +241,33 @@ func (p *DecodePlan) PackFrom(id uint32, src []float64) ([8]byte, error) {
 // leave dst untouched. dst must be at least Width() long. Unknown
 // frame IDs return ErrUnknownFrame with dst untouched.
 func (p *DecodePlan) UnpackInto(id uint32, data [8]byte, dst []float64) (uint64, error) {
-	fp := p.lookup(id)
+	fp := p.Lookup(id)
 	if fp == nil {
 		return 0, ErrUnknownFrame
 	}
 	if len(dst) < p.width {
 		return 0, fmt.Errorf("sigdb: plan: destination holds %d values, plan width is %d", len(dst), p.width)
 	}
+	fp.Unpack(data, dst)
+	return fp.mask, nil
+}
+
+// Unpack is UnpackInto on a resolved frame. dst must be at least the
+// plan's Width() long.
+func (fp *FramePlan) Unpack(data [8]byte, dst []float64) {
 	word := binary.LittleEndian.Uint64(data[:])
 	for _, e := range fp.entries {
 		dst[e.dst] = decodeRaw(e.kind, (word>>e.shift)&e.mask)
 	}
-	return fp.mask, nil
+}
+
+// Latch decodes the payload into dst, as Unpack, and sets fresh at
+// every index it writes — the indices Dst lists — in the same pass.
+// dst and fresh must be at least the plan's Width() long.
+func (fp *FramePlan) Latch(data [8]byte, dst []float64, fresh []bool) {
+	word := binary.LittleEndian.Uint64(data[:])
+	for _, e := range fp.entries {
+		dst[e.dst] = decodeRaw(e.kind, (word>>e.shift)&e.mask)
+		fresh[e.dst] = true
+	}
 }

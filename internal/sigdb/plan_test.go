@@ -190,3 +190,61 @@ func TestUnpackIntoAllocFree(t *testing.T) {
 		t.Fatalf("UnpackInto allocates %.1f times per frame, want 0", allocs)
 	}
 }
+
+// TestFramePlanMatchesPlanCalls checks the resolved-frame codec against
+// the per-ID calls it fuses: Latch writes what UnpackInto writes and
+// marks exactly the indices Dst lists, and Pack assembles what PackFrom
+// does. Lookup resolves every database frame and nothing else.
+func TestFramePlanMatchesPlanCalls(t *testing.T) {
+	db := Vehicle()
+	plan, err := db.CompilePlan(db.SignalNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Lookup(0x7FF) != nil {
+		t.Fatal("Lookup resolved a frame ID outside the database")
+	}
+	rng := rand.New(rand.NewSource(2))
+	want := make([]float64, plan.Width())
+	got := make([]float64, plan.Width())
+	fresh := make([]bool, plan.Width())
+	for _, f := range db.Frames() {
+		fp := plan.Lookup(f.ID)
+		if fp == nil {
+			t.Fatalf("Lookup(0x%X) = nil for a database frame", f.ID)
+		}
+		dst, _ := plan.Dst(f.ID)
+		for trial := 0; trial < 50; trial++ {
+			var data [8]byte
+			rng.Read(data[:])
+			for i := range fresh {
+				fresh[i] = false
+			}
+			if _, err := plan.UnpackInto(f.ID, data, want); err != nil {
+				t.Fatal(err)
+			}
+			fp.Latch(data, got, fresh)
+			for _, di := range dst {
+				if !fresh[di] {
+					t.Fatalf("frame 0x%X: Latch left index %d stale", f.ID, di)
+				}
+				if got[di] != want[di] && !(math.IsNaN(got[di]) && math.IsNaN(want[di])) {
+					t.Fatalf("frame 0x%X index %d: Latch decoded %v, UnpackInto %v", f.ID, di, got[di], want[di])
+				}
+				fresh[di] = false
+			}
+			for i, v := range fresh {
+				if v {
+					t.Fatalf("frame 0x%X: Latch marked index %d, which Dst does not list", f.ID, i)
+				}
+			}
+			packed, err := plan.PackFrom(f.ID, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp.Pack(got) != packed {
+				t.Fatalf("frame 0x%X: Pack differs from PackFrom", f.ID)
+			}
+		}
+	}
+}

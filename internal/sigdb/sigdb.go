@@ -318,7 +318,7 @@ func (db *DB) canonicalPlan() *DecodePlan {
 // decode plan; allocation-free callers should compile a DecodePlan and
 // use UnpackInto instead.
 func (db *DB) Unpack(id uint32, data [8]byte) (map[string]float64, error) {
-	fp := db.canonicalPlan().lookup(id)
+	fp := db.canonicalPlan().Lookup(id)
 	if fp == nil {
 		return nil, fmt.Errorf("sigdb: unpack: unknown frame ID 0x%X", id)
 	}
