@@ -258,8 +258,8 @@ func scanSegment(path string) (segScan, error) {
 	buf := make([]byte, 0, 4<<10)
 	off := int64(headerSize)
 	sinceIndex := 0
+	var lenb [4]byte // outside the loop: it escapes through io.ReadFull
 	for {
-		var lenb [4]byte
 		if _, err := io.ReadFull(br, lenb[:]); err != nil {
 			return sum, nil
 		}

@@ -367,3 +367,44 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenCatalogScanAllocsIndependentOfRecords pins the record-by-record
+// scan that every .part takes at open and at writer recovery at a
+// constant number of allocations: none per record, so a 2000-record
+// part costs what a 500-record one does, up to the growth of its sparse
+// index (one entry per defaultIndexEvery records).
+func TestOpenCatalogScanAllocsIndependentOfRecords(t *testing.T) {
+	openAllocs := func(records int) float64 {
+		dir := t.TempDir()
+		w, err := OpenWriter(dir, Options{})
+		if err != nil {
+			t.Fatalf("OpenWriter: %v", err)
+		}
+		for i := 0; i < records; i++ {
+			if err := w.ArchiveFrames(1, "veh", mkFrames(5, time.Duration(i)*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// Leave the writer open, as after a crash, so the part stays a
+		// .part and OpenCatalog must scan it.
+		c, err := OpenCatalog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if segs := c.Segments(); len(segs) != 1 || !strings.HasSuffix(segs[0].Path, ".part") || c.Records() != uint64(records) {
+			t.Fatalf("want one %d-record .part, got %+v", records, segs)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := OpenCatalog(dir); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := openAllocs(500), openAllocs(2000)
+	if small > 50 || large-small > 4 {
+		t.Fatalf("OpenCatalog over a .part: %.0f allocations at 500 records, %.0f at 2000; want O(1) per scan", small, large)
+	}
+}

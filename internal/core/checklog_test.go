@@ -197,7 +197,6 @@ func testBlockBoundaries(t *testing.T, log *can.Log) {
 				}
 				if instrumented {
 					om.Instrument(core.NewMetrics(obs.NewRegistry(), spec.name, mon.RuleNames()))
-					om.EnableStageTiming(len(mon.RuleNames()))
 				}
 				return om
 			}

@@ -5,11 +5,11 @@ import (
 )
 
 // stepSampleEvery is the step-latency sampling interval: an
-// instrumented session times the grid steps whose index k satisfies
-// k % stepSampleEvery == 0 and reads no clock on the others. Each
-// histogram observation is still one real step's latency; the
-// histograms' _count is ⌈steps/stepSampleEvery⌉ while
-// cpsmon_monitor_steps_total stays exact.
+// instrumented session times its first call, then the next call once at
+// least stepSampleEvery steps have been finalized since the last timed
+// one (see stagetiming.go), and reads no clock in the others. Each
+// histogram observation is the per-step mean of one timed call's
+// blocks; cpsmon_monitor_steps_total stays exact.
 const stepSampleEvery = 64
 
 // stepLatencyBuckets spans 100ns to ~0.42s in powers of four: a single
@@ -35,7 +35,7 @@ func (m *Monitor) RuleNames() []string {
 // OnlineMonitor evaluating that spec — the counters are atomic, so
 // concurrent sessions aggregate safely. A session adds its frame and
 // step counts once per push call rather than per frame, and feeds the
-// latency histograms one step in stepSampleEvery.
+// latency histograms once per timed call.
 type Metrics struct {
 	framesDecoded *obs.Counter
 	framesStale   *obs.Counter
@@ -50,10 +50,10 @@ type Metrics struct {
 
 // NewMetrics registers the monitor metric families on reg. spec labels
 // every series (the fleet server runs one compiled monitor per spec
-// selection); ruleNames must be in rule-set order — the same order the
-// stream checker evaluates, so rule index i of a timed step and
-// ruleNames[i] name the same rule. A nil registry returns nil, which
-// Instrument treats as "not instrumented".
+// selection); ruleNames must name every rule in rule-set order — the
+// same order the stream checker evaluates, so rule index i of a timed
+// call and ruleNames[i] name the same rule. A nil registry returns nil,
+// which Instrument treats as "not instrumented".
 func NewMetrics(reg *obs.Registry, spec string, ruleNames []string) *Metrics {
 	if reg == nil {
 		return nil
@@ -69,13 +69,13 @@ func NewMetrics(reg *obs.Registry, spec string, ruleNames []string) *Metrics {
 		steps: reg.Counter("cpsmon_monitor_steps_total",
 			"Evaluation grid steps finalized.", specLabel),
 		stepLatency: reg.Histogram("cpsmon_monitor_step_latency_seconds",
-			"Whole-checker latency of one finalized grid step, sampled one step in 64.", stepLatencyBuckets(), specLabel),
+			"Whole-checker evaluation latency per grid step: the per-step mean of one sampled call, sampled once per 64 or more steps.", stepLatencyBuckets(), specLabel),
 		ruleIndex: make(map[string]int, len(ruleNames)),
 	}
 	for i, name := range ruleNames {
 		ruleLabel := obs.Label{Name: "rule", Value: name}
 		m.ruleStep = append(m.ruleStep, reg.Histogram("cpsmon_monitor_rule_step_latency_seconds",
-			"Per-rule incremental evaluation latency of one step, sampled one step in 64.", stepLatencyBuckets(), specLabel, ruleLabel))
+			"Per-rule evaluation latency per grid step: the per-step mean of one sampled call, sampled once per 64 or more steps.", stepLatencyBuckets(), specLabel, ruleLabel))
 		m.ruleViolations = append(m.ruleViolations, reg.Counter("cpsmon_monitor_rule_violations_total",
 			"Closed violation intervals per rule.", specLabel, ruleLabel))
 		m.ruleIndex[name] = i
@@ -84,19 +84,22 @@ func NewMetrics(reg *obs.Registry, spec string, ruleNames []string) *Metrics {
 }
 
 // Instrument attaches the metrics to this monitor session: frame,
-// step and event accounting plus the sampled whole-step and per-rule
+// step and event accounting plus the sampled whole-checker and per-rule
 // step latencies. Pass nil to detach. Counts cover the pushes made
 // while attached; the updates are allocation-free, preserving the hot
 // path's zero-allocation contract.
 func (o *OnlineMonitor) Instrument(m *Metrics) { o.met = m }
 
-// observeStep records one timed step: its whole-checker latency and
-// each rule's share, in rule-set order.
-func (m *Metrics) observeStep(nanos int64, ruleNanos []int64) {
-	m.stepLatency.Observe(float64(nanos) / 1e9)
-	for i, h := range m.ruleStep[:min(len(m.ruleStep), len(ruleNanos))] {
-		h.Observe(float64(ruleNanos[i]) / 1e9)
+// observe records one timed call that finalized steps: each rule's
+// block time (rule-set order) and their sum, the whole checker's, as
+// means per step.
+func (m *Metrics) observe(ruleNanos []int64, steps uint64) {
+	var sum int64
+	for i, h := range m.ruleStep {
+		sum += ruleNanos[i]
+		h.Observe(float64(ruleNanos[i]) / float64(steps) / 1e9)
 	}
+	m.stepLatency.Observe(float64(sum) / float64(steps) / 1e9)
 }
 
 // publish adds the frame and step counts accumulated since the last

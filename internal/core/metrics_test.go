@@ -52,8 +52,11 @@ func TestOnlinePushFrameAllocFreeInstrumented(t *testing.T) {
 // against ground truth computed from the same trace, after every push
 // call and after Close: frames decoded and steps finalized are exact
 // at each return, the step-latency histograms hold one observation per
-// sampled step (⌈steps/64⌉), and events emitted and per-rule violation
-// counts match the events returned. Frames are pushed one at a time
+// timed call that finalized steps, and events emitted and per-rule
+// violation counts match the events returned. The expected number of
+// timed calls follows the sampling rule, replayed here call by call: a
+// call is due first, then once at least 64 steps were finalized since
+// the last timed call, and a due call that finalizes no step stays due. Frames are pushed one at a time
 // and in uneven PushFrames batches.
 func TestOnlineMetricsCounts(t *testing.T) {
 	log := buildLog(t, 400, func(tick int, bus *can.Bus) {
@@ -82,18 +85,29 @@ func TestOnlineMetricsCounts(t *testing.T) {
 			om.Instrument(met)
 
 			// check compares the counters with the true totals after
-			// pushed frames and steps finalized.
+			// pushed frames and steps finalized. sampled counts the
+			// timed calls that finalized steps; since counts the steps
+			// finalized since the last one, starting due.
+			var prev, sampled, since uint64 = 0, 0, stepSampleEvery
 			check := func(at string, pushed int, steps uint64) {
 				t.Helper()
+				if n := steps - prev; since >= stepSampleEvery {
+					if n > 0 {
+						sampled++
+						since = 0
+					}
+				} else {
+					since += n
+				}
+				prev = steps
 				if got := met.framesDecoded.Value(); got != uint64(pushed) {
 					t.Fatalf("%s: frames decoded = %d, want %d", at, got, pushed)
 				}
 				if got := met.steps.Value(); got != steps {
 					t.Fatalf("%s: steps = %d, want %d", at, got, steps)
 				}
-				sampled := (steps + stepSampleEvery - 1) / stepSampleEvery
 				if got := met.stepLatency.Count(); got != sampled {
-					t.Fatalf("%s: step latency count = %d, want ⌈%d/%d⌉ = %d", at, got, steps, stepSampleEvery, sampled)
+					t.Fatalf("%s: step latency count = %d, want %d timed calls", at, got, sampled)
 				}
 				for i := range met.ruleStep {
 					if got := met.ruleStep[i].Count(); got != sampled {
@@ -132,6 +146,9 @@ func TestOnlineMetricsCounts(t *testing.T) {
 				t.Fatalf("fixture spans %d steps; too few to exercise sampling", steps)
 			}
 			check("after Close", len(frames), steps)
+			if sampled < 2 {
+				t.Fatalf("only %d timed calls; too few to exercise sampling", sampled)
+			}
 
 			if got, want := met.events.Value(), uint64(len(events)); got != want || want == 0 {
 				t.Errorf("events = %d, want %d (nonzero)", got, want)

@@ -69,17 +69,15 @@ type OnlineMonitor struct {
 	// PushFrame, PushFrames or Close return.
 	nDecoded, nStale, nSteps uint64
 
-	// stepNanos receives the per-rule times of a timed step (see
-	// StreamChecker.StepTimed), one slot per rule in rule-set order.
-	stepNanos []int64
-
-	// Stage-timing state (see stagetiming.go): timing is armed per
-	// sampled batch by BeginStageTiming; the accumulators attribute the
-	// batch's wall time to decode vs evaluation.
-	timing      bool
-	decodeNanos int64
-	evalNanos   int64
-	ruleNanos   []int64
+	// Timed calls (see stagetiming.go). untimed counts the steps
+	// finalized since the last timed call that finalized any; ruleNanos
+	// is the per-rule accumulator the checker is armed with during a
+	// timed call, and callNanos that call's wall time; stage is set from
+	// BeginStageTiming to EndStageTiming.
+	untimed   uint64
+	ruleNanos []int64
+	callNanos int64
+	stage     bool
 }
 
 // Online creates a streaming session of this monitor over the given
@@ -102,7 +100,8 @@ func (m *Monitor) Online(db *sigdb.DB) (*OnlineMonitor, error) {
 		names:     names,
 		latched:   make([]float64, len(names)),
 		updated:   make([]bool, len(names)),
-		stepNanos: make([]int64, sc.NumRules()),
+		untimed:   stepSampleEvery, // the first call is due
+		ruleNanos: make([]int64, sc.NumRules()),
 	}
 	for i := range o.latched {
 		o.latched[i] = math.NaN() // not yet valid, as offline alignment
@@ -132,7 +131,7 @@ func (o *OnlineMonitor) PushFrame(f can.Frame) ([]OnlineEvent, error) {
 		return nil, fmt.Errorf("core: out-of-order frame at %v after %v", f.Time, o.lastTime)
 	}
 	o.events = o.events[:0]
-	defer o.publish()
+	defer o.endCall(o.beginCall())
 	err := o.push(&f)
 	if ferr := o.flush(); err == nil {
 		err = ferr
@@ -156,7 +155,7 @@ func (o *OnlineMonitor) PushFrames(frames []can.Frame) (events []OnlineEvent, re
 		return nil, 0, fmt.Errorf("core: PushFrames after Close")
 	}
 	o.events = o.events[:0]
-	defer o.publish()
+	defer o.endCall(o.beginCall())
 	for i := range frames {
 		f := &frames[i]
 		if o.sawFrame && f.Time < o.lastTime {
@@ -199,13 +198,7 @@ func (o *OnlineMonitor) push(f *can.Frame) error {
 
 	// Decode straight into the latched vector and mark the fresh
 	// signals: no map, no hashing, one plan lookup.
-	if o.timing {
-		t0 := time.Now()
-		fp.Latch(f.Data, o.latched, o.updated)
-		o.decodeNanos += int64(time.Since(t0))
-	} else {
-		fp.Latch(f.Data, o.latched, o.updated)
-	}
+	fp.Latch(f.Data, o.latched, o.updated)
 	return nil
 }
 
@@ -213,41 +206,13 @@ func (o *OnlineMonitor) push(f *can.Frame) error {
 // the events of any block that push ran into the scratch buffer. The
 // checker queues steps into blocks; PushFrame, PushFrames and Close
 // flush before they return, so a call's steps run as one block and no
-// event is decided later than the call that finalized its step. Only
-// a timed step reads the clock: one in stepSampleEvery when metrics are
-// attached (the step latency histograms' sample), and every step of a
-// stage-timed batch. It runs through StepTimed as a one-step block,
-// after the steps queued before it. A step that is both is timed once
-// and feeds both consumers.
+// event is decided later than the call that finalized its step.
 func (o *OnlineMonitor) finalizeStep() error {
-	sampled := o.met != nil && o.pending%stepSampleEvery == 0
-	var evs []speclang.Event
-	var err error
-	if sampled || o.timing {
-		if evs, err = o.sc.StepTimed(o.latched, o.updated, o.stepNanos); err != nil {
-			return err
-		}
-		// The rule times tile the step back to back, so their sum is
-		// the whole step's latency.
-		var d int64
-		for _, n := range o.stepNanos {
-			d += n
-		}
-		if sampled {
-			o.met.observeStep(d, o.stepNanos)
-		}
-		if o.timing {
-			o.evalNanos += d
-			for i, n := range o.stepNanos[:min(len(o.stepNanos), len(o.ruleNanos))] {
-				o.ruleNanos[i] += n
-			}
-		}
-	} else {
-		if evs, err = o.sc.Push(o.latched, o.updated); err != nil {
-			return err
-		}
-		o.queued = true
+	evs, err := o.sc.Push(o.latched, o.updated)
+	if err != nil {
+		return err
 	}
+	o.queued = true
 	o.nSteps++
 	for i := range o.updated {
 		o.updated[i] = false
@@ -293,7 +258,7 @@ func (o *OnlineMonitor) Close() ([]OnlineEvent, error) {
 		return nil, fmt.Errorf("core: Close called twice")
 	}
 	o.events = o.events[:0]
-	defer o.publish()
+	defer o.endCall(o.beginCall())
 	last := int(o.lastTime / o.period) // floor: trailing partial-step frames fall outside the grid
 	for o.pending <= last {
 		if err := o.finalizeStep(); err != nil {

@@ -9,9 +9,9 @@ import (
 )
 
 // TestStageTimingAttribution checks the per-batch decode/eval split:
-// both accumulators move while timing is armed, the per-rule breakdown
-// sums to no more than the whole-checker eval time, and a batch pushed
-// with timing off leaves the accumulators alone.
+// both move while timing is armed, the per-rule breakdown sums to no
+// more than the whole-checker eval time, and a batch pushed with
+// timing off leaves the accumulators alone.
 func TestStageTimingAttribution(t *testing.T) {
 	log := buildLog(t, 400, func(tick int, bus *can.Bus) {
 		_ = bus.Set(sigdb.SigVelocity, 24)
@@ -24,7 +24,6 @@ func TestStageTimingAttribution(t *testing.T) {
 	}
 	rules := m.RuleNames()
 	om.Instrument(NewMetrics(obs.NewRegistry(), "strict", rules))
-	om.EnableStageTiming(len(rules))
 
 	frames := log.Frames()
 	half := len(frames) / 2
@@ -52,7 +51,9 @@ func TestStageTimingAttribution(t *testing.T) {
 		t.Errorf("per-rule sum %dns exceeds whole-checker eval %dns", ruleSum, eval)
 	}
 
-	// Timing off: the next batch must not disturb the accumulators.
+	// Timing off: the next batch must not disturb the accumulators. The
+	// timed batch finalized steps, so the metrics sample is not due
+	// either and the batch is untimed.
 	if _, _, err := om.PushFrames(frames[half:]); err != nil {
 		t.Fatalf("PushFrames: %v", err)
 	}
@@ -78,7 +79,6 @@ func TestOnlinePushFrameAllocFreeWithStageTiming(t *testing.T) {
 	}
 	rules := m.RuleNames()
 	om.Instrument(NewMetrics(obs.NewRegistry(), "strict", rules))
-	om.EnableStageTiming(len(rules))
 	frames := log.Frames()
 	warm := 1000
 	if len(frames) < warm+1500 {

@@ -7,8 +7,13 @@ package fleet
 //   - Every batch pays one atomic increment (the sampling decision),
 //     one histogram observation (the per-vehicle e2e latency) and one
 //     SLO bucket update — all lock-free and allocation-free.
-//   - Only a sampled batch arms core's stage timing and records spans;
-//     span recording itself is allocation-free ring writes.
+//   - Only a sampled batch arms core's stage timing and records spans.
+//     Stage timing times the batch's one PushFrames call on the
+//     executor every call runs (see core/stagetiming.go): two clock
+//     reads for the call and one per rule per block, never one per
+//     frame. eval is the rules' block time; decode is the rest of
+//     apply — frame lookup and latch, step bookkeeping and event
+//     conversion. Span recording is allocation-free ring writes.
 //   - Strings are interned into flight refs once per session attach
 //     and once per spec compile, never on the batch path.
 
@@ -20,10 +25,9 @@ import (
 )
 
 // setupFlight wires a session into the server's flight recorder: the
-// vehicle identity is interned, the per-vehicle end-to-end latency
-// histogram registered, and core's per-batch stage timing armed. Called
-// once per session from handleHello and the crash-recovery restorer;
-// a no-op without a recorder.
+// vehicle identity is interned and the per-vehicle end-to-end latency
+// histogram registered. Called once per session from handleHello and
+// the crash-recovery restorer; a no-op without a recorder.
 func (sess *session) setupFlight() {
 	flt := sess.srv.cfg.Flight
 	if flt == nil {
@@ -33,7 +37,6 @@ func (sess *session) setupFlight() {
 	sess.e2e = sess.srv.reg.Histogram("cpsmon_fleet_e2e_latency_seconds",
 		"End-to-end frame-batch latency from queue entry to events emitted, per vehicle.",
 		obs.DefaultLatencyBuckets(), obs.Label{Name: "vehicle", Value: sess.vehicle})
-	sess.om.EnableStageTiming(len(sess.entry.rules))
 }
 
 // observeE2E feeds one batch's end-to-end latency to the per-vehicle
@@ -62,11 +65,9 @@ func (sess *session) recordFlight(it item, tApply, tEmit time.Time, e2e time.Dur
 	flt.Record(sess.id, sess.fveh, flight.StageIngest, 0, it.seq, it.enq, ingest)
 	flt.Record(sess.id, sess.fveh, flight.StageDecode, 0, it.seq, tApply, time.Duration(decode))
 	flt.Record(sess.id, sess.fveh, flight.StageEval, 0, it.seq, tApply, time.Duration(eval))
-	if frules := sess.entry.frules; frules != nil {
-		for i, n := range perRule {
-			if n > 0 && i < len(frules) {
-				flt.Record(sess.id, sess.fveh, flight.StageEval, frules[i], it.seq, tApply, time.Duration(n))
-			}
+	for i, n := range perRule {
+		if n > 0 {
+			flt.Record(sess.id, sess.fveh, flight.StageEval, sess.entry.frules[i], it.seq, tApply, time.Duration(n))
 		}
 	}
 	flt.Record(sess.id, sess.fveh, flight.StageEmit, 0, it.seq, tEmit, emit)

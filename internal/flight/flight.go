@@ -39,9 +39,12 @@ const (
 	// StageIngest is queue wait: a batch entering its session queue to
 	// the worker dequeuing it.
 	StageIngest Stage = iota
-	// StageDecode is frame decode into the latched signal vector.
+	// StageDecode is the rest of applying a batch besides rule
+	// evaluation: frame lookup and decode into the latched signal
+	// vector, step bookkeeping and event conversion.
 	StageDecode
-	// StageEval is rule evaluation: the grid steps a batch finalized.
+	// StageEval is rule evaluation: the blocks of grid steps a batch
+	// finalized.
 	StageEval
 	// StageEmit is event serialization and the flush to the client.
 	StageEmit

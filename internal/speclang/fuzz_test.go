@@ -186,10 +186,12 @@ func checkBlocks(rs *RuleSet, src *memSource, opts EvalOptions, cuts []byte) err
 
 // driveBlocks runs src through a new checker and returns its events and
 // per-rule results. Each byte b of cuts, taken in turn and cyclically,
-// cuts the next block: b%(2*blockSteps+3) is 0 for one StepTimed row, 1
-// for one Step row, and otherwise one more than the number of rows
-// pushed before a Flush. With no cuts every row is pushed, so the
-// checker runs full blocks and Finish runs the rest.
+// cuts the next block: b%(2*blockSteps+3) is 0 for one Step row run
+// with timing armed, 1 for one Step row, and otherwise one more than
+// the number of rows pushed before a Flush; the Push+Flush cuts of an
+// odd count of rows run armed. With no cuts every row is pushed, so the
+// checker runs full blocks and Finish runs the rest. Timing must not
+// change a single event.
 func driveBlocks(rs *RuleSet, src *memSource, opts EvalOptions, cuts []byte) ([]Event, []RuleResult, error) {
 	names := make([]string, 0, len(src.vals))
 	for name := range src.vals {
@@ -222,12 +224,21 @@ func driveBlocks(rs *RuleSet, src *memSource, opts EvalOptions, cuts []byte) ([]
 			evs, err = sc.Push(vals, upd)
 		case int(cuts[c%len(cuts)])%b == 0:
 			next()
-			evs, err = sc.StepTimed(vals, upd, nanos)
+			if err = sc.Time(nanos); err != nil {
+				return nil, nil, err
+			}
+			evs, err = sc.Step(vals, upd)
 		case int(cuts[c%len(cuts)])%b == 1:
 			next()
 			evs, err = sc.Step(vals, upd)
 		default:
-			for n := int(cuts[c%len(cuts)])%b - 1; n > 0 && next(); n-- {
+			n := int(cuts[c%len(cuts)])%b - 1
+			if n%2 == 1 {
+				if err = sc.Time(nanos); err != nil {
+					return nil, nil, err
+				}
+			}
+			for ; n > 0 && next(); n-- {
 				var pushed []Event
 				if pushed, err = sc.Push(vals, upd); err != nil {
 					return nil, nil, err
@@ -236,6 +247,7 @@ func driveBlocks(rs *RuleSet, src *memSource, opts EvalOptions, cuts []byte) ([]
 			}
 			evs, err = sc.Flush()
 		}
+		_ = sc.Time(nil) // disarming cannot fail
 		if err != nil {
 			return nil, nil, err
 		}

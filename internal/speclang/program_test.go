@@ -2,6 +2,7 @@ package speclang
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -113,17 +114,19 @@ spec B {
 	}
 }
 
-// TestStreamStepTimedOncePerRuleInOrder pins the StepTimed contract:
-// each rule's slot is written once per timed step, in rule-set order,
-// with the time between consecutive clock readings; plain Step and
-// Finish read no clock and write nothing.
-func TestStreamStepTimedOncePerRuleInOrder(t *testing.T) {
+// TestStreamTimedBlocksOncePerRuleInOrder pins the Time contract: an
+// armed checker reads the clock once before each block and once after
+// each rule, and adds each rule's interval to its slot once per block,
+// in rule-set order, whichever call ran the block; a disarmed checker's
+// Push, Flush, Step and Finish read no clock and write nothing; and a
+// slice of the wrong length is refused.
+func TestStreamTimedBlocksOncePerRuleInOrder(t *testing.T) {
 	rs := compileOne(t, `
 spec R0 { assert x <= 0.5 }
 spec R1 { severity delta(x) assert eventually[0:40ms](x < 0.2) }
 monitor R2 { initial state A { when a && x > 0.9 => violate "hi" } }
 `, "x", "a")
-	src := randomSource(rand.New(rand.NewSource(7)), 60)
+	src := randomSource(rand.New(rand.NewSource(7)), 20*blockSteps)
 	names := []string{"a", "x"}
 	sc, err := rs.NewStreamChecker(names, src.StepPeriod(), EvalOptions{})
 	if err != nil {
@@ -132,9 +135,10 @@ monitor R2 { initial state A { when a && x > 0.9 => violate "hi" } }
 	if sc.NumRules() != 3 {
 		t.Fatalf("NumRules = %d, want 3", sc.NumRules())
 	}
-	// The fake clock's j-th reading within a step advances it j ns, so
-	// the interval ending at reading j lasts j ns: slot i holds i+2
-	// exactly when rule i was timed (i+1)-th and written once.
+	// The fake clock's j-th reading since reads was reset advances it
+	// j ns, so the interval ending at reading j lasts j ns: after one
+	// block, slot i holds i+2 exactly when rule i was timed (i+1)-th and
+	// written once; a second block in the same call adds i+6.
 	var reads int
 	var now time.Time
 	saved := clock
@@ -146,41 +150,76 @@ monitor R2 { initial state A { when a && x > 0.9 => violate "hi" } }
 	t.Cleanup(func() { clock = saved })
 
 	vals, upd := make([]float64, 2), make([]bool, 2)
-	nanos := make([]int64, 3)
-	for k := 0; k < src.NumSteps(); k++ {
+	k := 0
+	next := func() {
 		for i, name := range names {
 			vals[i], upd[i] = src.vals[name][k], src.upd[name][k]
 		}
-		for i := range nanos {
-			nanos[i] = -1
-		}
-		reads = 0
-		if k%2 == 1 {
-			if _, err := sc.Step(vals, upd); err != nil {
+		k++
+	}
+	push := func(n int) {
+		for ; n > 0; n-- {
+			next()
+			if _, err := sc.Push(vals, upd); err != nil {
 				t.Fatal(err)
 			}
-			if reads != 0 || nanos[0] != -1 || nanos[1] != -1 || nanos[2] != -1 {
-				t.Fatalf("step %d: plain Step read the clock %d times, slots %v", k, reads, nanos)
-			}
-			continue
 		}
-		if _, err := sc.StepTimed(vals, upd, nanos); err != nil {
+	}
+	flush := func() {
+		if _, err := sc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if reads != 4 || nanos[0] != 2 || nanos[1] != 3 || nanos[2] != 4 {
-			t.Fatalf("step %d: %d clock reads, slots %v; want 4 reads, slots [2 3 4]", k, reads, nanos)
+	}
+	step := func() {
+		next()
+		if _, err := sc.Step(vals, upd); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := sc.StepTimed(vals, upd, nanos[:2]); err == nil {
-		t.Error("StepTimed accepted a nanos slice shorter than the rule count")
+	nanos := make([]int64, 3)
+	check := func(what string, call func(), wantReads int, want ...int64) {
+		t.Helper()
+		reads = 0
+		for i := range nanos {
+			nanos[i] = 0
+		}
+		call()
+		if reads != wantReads || !reflect.DeepEqual(nanos, want) {
+			t.Fatalf("%s: %d clock reads, slots %v; want %d reads, slots %v", what, reads, nanos, wantReads, want)
+		}
 	}
-	reads = 0
-	if _, err := sc.Finish(); err != nil {
-		t.Fatal(err)
+
+	for round := 0; round < 3; round++ {
+		if err := sc.Time(nanos); err != nil {
+			t.Fatal(err)
+		}
+		check("armed Step", step, 4, 2, 3, 4)
+		check("armed partial Push", func() { push(blockSteps - 1) }, 0, 0, 0, 0)
+		check("armed Flush", flush, 4, 2, 3, 4)
+		check("armed full Push", func() { push(blockSteps) }, 4, 2, 3, 4)
+		check("armed Push+Flush", func() { push(blockSteps + 5); flush() }, 8, 8, 10, 12)
+		check("armed empty Flush", flush, 0, 0, 0, 0)
+		if err := sc.Time(nil); err != nil {
+			t.Fatal(err)
+		}
+		check("disarmed Step", step, 0, 0, 0, 0)
+		check("disarmed Push", func() { push(blockSteps + 3) }, 0, 0, 0, 0)
+		check("disarmed Flush", flush, 0, 0, 0, 0)
 	}
-	if reads != 0 {
-		t.Errorf("Finish read the clock %d times; only StepTimed times a step", reads)
+
+	for _, n := range []int{2, 4} {
+		if err := sc.Time(make([]int64, n)); err == nil {
+			t.Errorf("Time accepted %d rule slots for 3 rules", n)
+		}
 	}
+	// A refused slice leaves the checker disarmed.
+	check("Step after refusal", step, 0, 0, 0, 0)
+	check("disarmed Finish", func() {
+		push(3)
+		if _, err := sc.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}, 0, 0, 0, 0)
 }
 
 // TestStreamLinksRulesOverDifferentSignals runs rules that each load

@@ -10,8 +10,8 @@ import (
 
 // TestStreamStepZeroAllocs pins the steady-state StreamChecker at zero
 // allocations for the paper's strict and relaxed rule sets: as plain
-// Step, as StepTimed, and as Push with a Flush every few rows, so full
-// and partial blocks both run. The input cycles through a pattern that
+// Step, and as Push with a Flush every few rows, so full and partial
+// blocks both run, with timing off and armed. The input cycles through a pattern that
 // opens and closes violations, so the event path is exercised too.
 func TestStreamStepZeroAllocs(t *testing.T) {
 	names := sigdb.Vehicle().SignalNames()
@@ -41,18 +41,19 @@ func TestStreamStepZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nanos := make([]int64, sc.NumRules())
+			if mode == "timed" {
+				if err := sc.Time(make([]int64, sc.NumRules())); err != nil {
+					t.Fatal(err)
+				}
+			}
 			events := 0
 			k := 0
 			step := func() {
 				var evs []speclang.Event
 				var err error
-				switch mode {
-				case "timed":
-					evs, err = sc.StepTimed(vals[k%period], upd[k%period], nanos)
-				case "step":
+				if mode == "step" {
 					evs, err = sc.Step(vals[k%period], upd[k%period])
-				default:
+				} else {
 					evs, err = sc.Push(vals[k%period], upd[k%period])
 					events += len(evs)
 					if err == nil && k%45 == 44 { // a partial block every 45 rows

@@ -40,6 +40,11 @@ type StreamChecker struct {
 	evbuf []Event
 	next  []int
 	supp  [blockSteps]bool
+
+	// nanos, when non-nil, receives each rule's block time (see Time),
+	// and last is the clock reading the next rule's time starts from.
+	nanos []int64
+	last  time.Time
 }
 
 // NewStreamChecker builds an online checker over the given signal
@@ -130,7 +135,7 @@ func (sc *StreamChecker) link(mode DeltaMode) {
 }
 
 // NumRules returns the number of rules the checker evaluates: the
-// length StepTimed expects of its nanos slice.
+// length Time expects of its nanos slice.
 func (sc *StreamChecker) NumRules() int { return len(sc.rules) }
 
 // Signals returns the signal order expected by Step.
@@ -144,10 +149,10 @@ func (sc *StreamChecker) Signals() []string {
 // the checker's signal order, upd the per-signal freshness bits. When
 // the queue fills a block, Push runs it and returns the events that
 // became decidable; otherwise it returns none, and the queued steps
-// wait for a full block, Flush, Step, StepTimed or Finish. The returned
-// slice is a scratch buffer owned by the checker: it is valid only
-// until the next Push, Flush, Step, StepTimed or Finish call, so
-// callers that retain events must copy them out. Push never reads the
+// wait for a full block, Flush, Step or Finish. The returned slice is a
+// scratch buffer owned by the checker: it is valid only until the next
+// Push, Flush, Step or Finish call, so callers that retain events must
+// copy them out. Unless Time armed the checker, no call reads the
 // clock.
 func (sc *StreamChecker) Push(vals []float64, upd []bool) ([]Event, error) {
 	if err := sc.checkStep(vals, upd); err != nil {
@@ -185,42 +190,22 @@ func (sc *StreamChecker) Step(vals []float64, upd []bool) ([]Event, error) {
 	return sc.evbuf, nil
 }
 
-// StepTimed is Step with per-rule timing: it flushes the queued steps,
-// then runs this one as a one-step block, and nanos[i] receives the
-// wall-clock nanoseconds rule i (rule-set order) spent on it. nanos
-// must hold NumRules entries; the caller owns it, so the call allocates
-// nothing. The clock is read once before the first rule and once after
-// each, so the rule times tile the step back to back.
-func (sc *StreamChecker) StepTimed(vals []float64, upd []bool, nanos []int64) ([]Event, error) {
-	if err := sc.checkStep(vals, upd); err != nil {
-		return nil, err
+// Time arms per-rule block timing: while armed, every block a call runs
+// adds each rule's wall-clock nanoseconds to nanos[i] (rule-set order).
+// The clock is read once before the first rule and once after each, so
+// the rule times tile the block back to back. nanos must hold NumRules
+// entries; the caller owns and zeroes it, so timing allocates nothing.
+// A nil slice disarms the checker.
+func (sc *StreamChecker) Time(nanos []int64) error {
+	if nanos != nil && len(nanos) != len(sc.rules) {
+		return fmt.Errorf("speclang: timing carries %d rule slots, want %d", len(nanos), len(sc.rules))
 	}
-	if len(nanos) != len(sc.rules) {
-		return nil, fmt.Errorf("speclang: timed step carries %d rule slots, want %d", len(nanos), len(sc.rules))
-	}
-	sc.evbuf = sc.evbuf[:0]
-	sc.run()
-	sc.queue(vals, upd)
-	k, emitting := sc.steps, 0
-	t := clock()
-	for i, r := range sc.rules {
-		sc.prog.exec(r.lo, r.hi, k, 1, math.MaxInt)
-		r.decide(k, 1, &sc.supp)
-		if len(r.evs) > 0 {
-			emitting++
-		}
-		now := clock()
-		nanos[i] = int64(now.Sub(t))
-		t = now
-	}
-	sc.gather(emitting)
-	sc.steps++
-	sc.rows = 0
-	return sc.evbuf, nil
+	sc.nanos = nanos
+	return nil
 }
 
-// clock is StepTimed's time source, a variable so tests can substitute
-// a deterministic one.
+// clock is Time's time source, a variable so tests can substitute a
+// deterministic one.
 var clock = time.Now
 
 // checkStep validates one step's input against the checker's state and
@@ -252,24 +237,40 @@ func (sc *StreamChecker) queue(vals []float64, upd []bool) {
 	sc.rows++
 }
 
-// run executes the queued steps as one block: the program over the
-// whole block, then each rule's decisions over its finished columns.
+// run executes the queued steps as one block, rule by rule: each
+// rule's instructions over the whole block, then its decisions over its
+// finished columns. The rules' instruction ranges tile the program in
+// rule-set order, so this is the whole program in one pass.
 func (sc *StreamChecker) run() {
 	m, k0 := sc.rows, sc.steps
 	if m == 0 {
 		return
 	}
-	sc.prog.exec(0, len(sc.prog.code), k0, m, math.MaxInt)
+	if sc.nanos != nil {
+		sc.last = clock()
+	}
 	emitting := 0
-	for _, r := range sc.rules {
+	for i, r := range sc.rules {
+		sc.prog.exec(r.lo, r.hi, k0, m, math.MaxInt)
 		r.decide(k0, m, &sc.supp)
 		if len(r.evs) > 0 {
 			emitting++
+		}
+		if sc.nanos != nil {
+			sc.tick(i)
 		}
 	}
 	sc.gather(emitting)
 	sc.steps += m
 	sc.rows = 0
+}
+
+// tick adds the time since the last reading to rule i's slot. It is
+// kept out of run's loop so the untimed loop carries no clock state.
+func (sc *StreamChecker) tick(i int) {
+	now := clock()
+	sc.nanos[i] += int64(now.Sub(sc.last))
+	sc.last = now
 }
 
 // gather moves the events the rules recorded into evbuf in step order,
