@@ -281,6 +281,26 @@ func BenchmarkMonitorOnline(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionOpen measures opening one streaming session of the
+// strict monitor over the vehicle database: the cost every CheckLog
+// call, recheck session and fleet session pays before its first frame.
+// The monitor compiled its program in core.New, so this is the
+// session's own state only.
+func BenchmarkSessionOpen(b *testing.B) {
+	mon, err := rules.NewStrictMonitor()
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := sigdb.Vehicle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mon.Online(db); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMonitorOnlineInstrumented measures the fleet's streaming
 // path over the same ten minutes of traffic: frames pushed through
 // PushFrames in 100 ms runs, as a session hands over wire batches, with
@@ -337,7 +357,10 @@ func BenchmarkMonitorOnlineInstrumented(b *testing.B) {
 // no frame decoding or latching. It reports ns/step. The push
 // sub-benchmark drives the checker as offline checks do, Push over the
 // trace then Finish, so steps run in full blocks; rows=1 calls Step per
-// row, the one-step block of frame-by-frame online pushes.
+// row, the one-step block of frame-by-frame online pushes. The program
+// is compiled once, outside the timed loop, and each op opens one
+// checker over it, so allocs/op counts a session's state, not
+// compilation.
 func BenchmarkStreamStep(b *testing.B) {
 	grid, err := trace.Align(benchTrace(b), sigdb.FastPeriod)
 	if err != nil {
@@ -361,6 +384,10 @@ func BenchmarkStreamStep(b *testing.B) {
 			vals[k][i], upd[k][i] = v[k], u[k]
 		}
 	}
+	prog, err := rs.NewProgram(grid.Period, speclang.EvalOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, mode := range []struct {
 		name string
 		push func(*speclang.StreamChecker, []float64, []bool) ([]speclang.Event, error)
@@ -371,7 +398,7 @@ func BenchmarkStreamStep(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sc, err := rs.NewStreamChecker(names, grid.Period, speclang.EvalOptions{})
+				sc, err := prog.NewChecker(names)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -258,12 +258,9 @@ type Bus struct {
 // nodes boot broadcasting default values.
 func NewBus(db *sigdb.DB, sched *TxSchedule) *Bus {
 	names := db.SignalNames()
-	// The ordering comes straight from the database, so compilation
-	// cannot fail.
-	plan, _ := db.CompilePlan(names)
 	b := &Bus{
 		sched:   sched,
-		plan:    plan,
+		plan:    db.CanonicalPlan(),
 		slot:    make(map[string]int, len(names)),
 		pending: make([]float64, len(names)),
 		latched: make([]float64, len(names)),

@@ -279,3 +279,32 @@ func testBlockBoundaries(t *testing.T, log *can.Log) {
 		})
 	}
 }
+
+// onlineStateAllocs is what opening a strict-spec session allocates:
+// the OnlineMonitor, its copy of the database's signal order, its
+// latched and fresh vectors and per-rule timing slots; the checker, its
+// input binding, value and freshness columns, the instructions' operand
+// columns, difference memories, window headers and their one ring
+// backing, delay-line headers and their one slot backing, and per-rule
+// and per-warmup decision state. Compilation happens once, in core.New,
+// so it allocates nothing here.
+const onlineStateAllocs = 17
+
+// TestOnlineAllocatesOnlyState pins session cost to the session's own
+// state: Monitor.Online over the strict spec compiles nothing, so its
+// allocation count does not grow with the spec's instructions.
+func TestOnlineAllocatesOnlyState(t *testing.T) {
+	m, err := rules.NewStrictMonitor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := sigdb.Vehicle()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := m.Online(db); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > onlineStateAllocs {
+		t.Fatalf("Monitor.Online allocates %.0f times, want at most %d", allocs, onlineStateAllocs)
+	}
+}

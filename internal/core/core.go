@@ -163,11 +163,14 @@ type Config struct {
 // Monitor is a bolt-on passive test oracle.
 //
 // A Monitor is safe for concurrent use: CheckTrace/CheckGrid/CheckLog
-// may run from many goroutines over one instance (the campaign drivers
-// and the recheck shards do). Each call runs its own stream checker,
-// the one evaluator behind every entry point.
+// and Online may run from many goroutines over one instance (the
+// campaign drivers, the recheck shards and the fleet sessions do). New
+// compiles the rule set once into a Program that no one writes; each
+// call opens its own stream checker over it, the one evaluator behind
+// every entry point, and so allocates only that checker's state.
 type Monitor struct {
 	rules  *speclang.RuleSet
+	prog   *speclang.Program
 	period time.Duration
 	mode   speclang.DeltaMode
 	triage map[string]Triage
@@ -187,8 +190,13 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.Triage == nil {
 		cfg.Triage = make(map[string]Triage)
 	}
+	prog, err := cfg.Rules.NewProgram(cfg.Period, speclang.EvalOptions{DeltaMode: cfg.DeltaMode})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	return &Monitor{
 		rules:  cfg.Rules,
+		prog:   prog,
 		period: cfg.Period,
 		mode:   cfg.DeltaMode,
 		triage: cfg.Triage,
@@ -288,9 +296,16 @@ func (m *Monitor) CheckTrace(tr *trace.Trace) (*Report, error) {
 }
 
 // CheckGrid evaluates every rule over an already-aligned grid, stepping
-// the rule set's stream checker through it row by row.
+// a stream checker through it row by row. A grid at the monitor's
+// period runs on the monitor's program; any other period compiles one.
 func (m *Monitor) CheckGrid(grid *trace.Grid) (*Report, error) {
-	results, err := m.rules.Eval(grid, speclang.EvalOptions{DeltaMode: m.mode})
+	var results []speclang.RuleResult
+	var err error
+	if grid.StepPeriod() == m.period {
+		results, err = m.prog.Eval(grid)
+	} else {
+		results, err = m.rules.Eval(grid, speclang.EvalOptions{DeltaMode: m.mode})
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

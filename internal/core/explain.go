@@ -71,7 +71,7 @@ func (m *Monitor) Explain(tr *trace.Trace, rep *Report, rule string, violIdx int
 	if !ok {
 		return nil, fmt.Errorf("core: explain: rule %q not in the compiled set", rule)
 	}
-	names := compiled.Signals(m.rules.SignalUniverse())
+	names := compiled.Signals()
 
 	from := v.Start - margin
 	if from < 0 {

@@ -43,8 +43,6 @@ type OnlineMonitor struct {
 	triage map[string]Triage
 	sc     *speclang.StreamChecker
 
-	names []string
-
 	latched []float64
 	updated []bool
 
@@ -81,23 +79,20 @@ type OnlineMonitor struct {
 }
 
 // Online creates a streaming session of this monitor over the given
-// signal database.
+// signal database: a checker over the monitor's program, whose loaded
+// signals bind by name to the database's signal order, and the
+// database's canonical decode plan. It compiles nothing.
 func (m *Monitor) Online(db *sigdb.DB) (*OnlineMonitor, error) {
 	names := db.SignalNames()
-	sc, err := m.rules.NewStreamChecker(names, m.period, speclang.EvalOptions{DeltaMode: m.mode})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	plan, err := db.CompilePlan(names)
+	sc, err := m.prog.NewChecker(names)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	o := &OnlineMonitor{
-		plan:      plan,
+		plan:      db.CanonicalPlan(),
 		period:    m.period,
 		triage:    m.triage,
 		sc:        sc,
-		names:     names,
 		latched:   make([]float64, len(names)),
 		updated:   make([]bool, len(names)),
 		untimed:   stepSampleEvery, // the first call is due

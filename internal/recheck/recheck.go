@@ -141,18 +141,21 @@ type tally struct {
 // run, never a hang, and the error returned is the one the sequential
 // engine returns: the earliest in archive order.
 func Run(cat *archive.Catalog, db *sigdb.DB, cfg core.Config, opt Options) (*Report, error) {
-	start := time.Now()
-	if opt.Workers < 0 {
-		return nil, fmt.Errorf("recheck: negative worker count %d", opt.Workers)
-	}
 	mon, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var ruleOrder []string
-	for _, r := range cfg.Rules.Rules() {
-		ruleOrder = append(ruleOrder, r.Name)
+	return run(cat, db, mon, opt)
+}
+
+// run is Run over a built monitor, whose one compiled program every
+// shard's sessions share.
+func run(cat *archive.Catalog, db *sigdb.DB, mon *core.Monitor, opt Options) (*Report, error) {
+	start := time.Now()
+	if opt.Workers < 0 {
+		return nil, fmt.Errorf("recheck: negative worker count %d", opt.Workers)
 	}
+	ruleOrder := mon.RuleNames()
 	workers := opt.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -165,6 +168,7 @@ func Run(cat *archive.Catalog, db *sigdb.DB, cfg core.Config, opt Options) (*Rep
 
 	var sessions map[uint64]*replay
 	var busy []time.Duration
+	var err error
 	if workers <= 1 {
 		sessions, err = runSequential(cat, db, mon, q)
 	} else {

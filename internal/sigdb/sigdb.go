@@ -299,10 +299,12 @@ func (db *DB) Pack(id uint32, values map[string]float64) ([8]byte, error) {
 	return data, nil
 }
 
-// canonicalPlan returns the cached all-signals decode plan, compiling
-// it on first use. Two racing first uses both compile and one cache
-// write wins; both plans are equivalent, so this stays lock-free.
-func (db *DB) canonicalPlan() *DecodePlan {
+// CanonicalPlan returns the database's cached decode plan over every
+// signal in SignalNames order, compiling it on first use. Plans are
+// immutable, so every caller shares this one. Two racing first uses
+// both compile and one cache write wins; both plans are equivalent, so
+// this stays lock-free.
+func (db *DB) CanonicalPlan() *DecodePlan {
 	if p := db.canon.Load(); p != nil {
 		return p
 	}
@@ -318,7 +320,7 @@ func (db *DB) canonicalPlan() *DecodePlan {
 // decode plan; allocation-free callers should compile a DecodePlan and
 // use UnpackInto instead.
 func (db *DB) Unpack(id uint32, data [8]byte) (map[string]float64, error) {
-	fp := db.canonicalPlan().Lookup(id)
+	fp := db.CanonicalPlan().Lookup(id)
 	if fp == nil {
 		return nil, fmt.Errorf("sigdb: unpack: unknown frame ID 0x%X", id)
 	}

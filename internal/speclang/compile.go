@@ -41,6 +41,7 @@ type Rule struct {
 	// Kind reports whether this is a spec or a monitor.
 	Kind RuleKind
 
+	set     *RuleSet
 	consts  map[string]float64
 	spec    *Spec
 	monitor *Monitor
@@ -49,165 +50,39 @@ type Rule struct {
 
 // Horizon returns the rule's temporal lookahead: how far past a step
 // the trace must extend before that step's verdict is decidable. It is
-// the online monitor's worst-case decision latency for the rule — zero
-// for propositional and past-time rules, and the (nested) sum of
-// future-window upper bounds otherwise.
+// the online monitor's worst-case decision latency for the rule: the
+// delay the compiler gives the rule at this period, zero for
+// propositional and past-time rules, and otherwise the (nested) sum of
+// the future-window upper bounds of its asserts, guards, severity and
+// warmup triggers.
 func (r *Rule) Horizon(period time.Duration) time.Duration {
-	var lets []Let
-	var severity Expr
-	if r.Kind == KindSpec {
-		lets, severity = r.spec.Lets, r.spec.Severity
-	} else {
-		lets, severity = r.monitor.Lets, r.monitor.Severity
+	p, err := r.set.link([]*Rule{r}, period, DeltaUpdateAware)
+	if err != nil {
+		return 0 // a non-positive period; Compile checked the rule itself
 	}
-	letMap := make(map[string]Expr, len(lets))
-	for _, l := range lets {
-		letMap[l.Name] = l.X
-	}
-	h := func(e Expr) int { return exprHorizon(e, period, letMap) }
-
-	steps := 0
-	if r.Kind == KindSpec {
-		for _, a := range r.spec.Asserts {
-			if v := h(a); v > steps {
-				steps = v
-			}
-		}
-	} else {
-		for i := range r.monitor.States {
-			for j := range r.monitor.States[i].Transitions {
-				tr := &r.monitor.States[i].Transitions[j]
-				if tr.Kind != TransWhen {
-					continue
-				}
-				if v := h(tr.Guard); v > steps {
-					steps = v
-				}
-			}
-		}
-	}
-	if severity != nil {
-		if v := h(severity); v > steps {
-			steps = v
-		}
-	}
-	return time.Duration(steps) * period
+	return time.Duration(p.rules[0].delay) * period
 }
 
-// exprHorizon returns the lookahead of an expression in steps, inlining
-// let references exactly as the stream compiler does.
-func exprHorizon(e Expr, period time.Duration, lets map[string]Expr) int {
-	switch x := e.(type) {
-	case *Ident:
-		if le, ok := lets[x.Name]; ok {
-			return exprHorizon(le, period, lets)
-		}
-		return 0
-	case *Unary:
-		return exprHorizon(x.X, period, lets)
-	case *Binary:
-		l := exprHorizon(x.L, period, lets)
-		if r := exprHorizon(x.R, period, lets); r > l {
-			l = r
-		}
-		return l
-	case *Call:
-		max := 0
-		for _, a := range x.Args {
-			if h := exprHorizon(a, period, lets); h > max {
-				max = h
-			}
-		}
-		return max
-	case *Temporal:
-		h := exprHorizon(x.X, period, lets)
-		if !x.Past() {
-			h += int(x.Hi / period)
-		}
-		return h
-	default:
-		return 0
+// Signals returns the names of the trace signals the rule's compiled
+// code loads, sorted: what a violation explanation needs to know which
+// series to show. A let the rule never references loads nothing.
+func (r *Rule) Signals() []string {
+	// Which signals a rule loads does not depend on the step period.
+	p, err := r.set.link([]*Rule{r}, time.Second, DeltaUpdateAware)
+	if err != nil {
+		return nil // unreachable: Compile checked the rule
 	}
-}
-
-// Signals returns the names of the trace signals the rule references
-// (through lets, warmups, severity, asserts and guards), sorted. This
-// is what a violation explanation needs to know which series to show.
-func (r *Rule) Signals(universe map[string]bool) []string {
-	found := make(map[string]bool)
-	var lets []Let
-	var warmups []Warmup
-	var severity Expr
-	var exprs []Expr
-	if r.Kind == KindSpec {
-		lets, warmups, severity = r.spec.Lets, r.spec.Warmups, r.spec.Severity
-		exprs = append(exprs, r.spec.Asserts...)
-	} else {
-		lets, warmups, severity = r.monitor.Lets, r.monitor.Warmups, r.monitor.Severity
-		for i := range r.monitor.States {
-			for j := range r.monitor.States[i].Transitions {
-				if g := r.monitor.States[i].Transitions[j].Guard; g != nil {
-					exprs = append(exprs, g)
-				}
-			}
-		}
-	}
-	for _, l := range lets {
-		exprs = append(exprs, l.X)
-	}
-	for _, w := range warmups {
-		if w.On != nil {
-			exprs = append(exprs, w.On)
-		}
-	}
-	if severity != nil {
-		exprs = append(exprs, severity)
-	}
-	for _, e := range exprs {
-		collectSignals(e, universe, found)
-	}
-	out := make([]string, 0, len(found))
-	for name := range found {
-		out = append(out, name)
-	}
+	out := p.signals()
 	sort.Strings(out)
-	return out
-}
-
-func collectSignals(e Expr, universe, found map[string]bool) {
-	switch x := e.(type) {
-	case *Ident:
-		if universe[x.Name] {
-			found[x.Name] = true
-		}
-	case *Unary:
-		collectSignals(x.X, universe, found)
-	case *Binary:
-		collectSignals(x.L, universe, found)
-		collectSignals(x.R, universe, found)
-	case *Call:
-		for _, a := range x.Args {
-			collectSignals(a, universe, found)
-		}
-	case *Temporal:
-		collectSignals(x.X, universe, found)
-	}
-}
-
-// SignalUniverse returns the signal set the rule set was compiled
-// against, for use with Rule.Signals.
-func (rs *RuleSet) SignalUniverse() map[string]bool {
-	out := make(map[string]bool, len(rs.signals))
-	for name := range rs.signals {
-		out[name] = true
-	}
 	return out
 }
 
 // RuleSet is a compiled specification file bound to a signal universe.
 type RuleSet struct {
-	rules   []*Rule
-	signals map[string]bool
+	rules []*Rule
+	// names is the signal universe, and signals indexes it by name.
+	names   []string
+	signals map[string]int
 }
 
 // Rules returns the compiled rules in declaration order.
@@ -232,9 +107,9 @@ func (rs *RuleSet) Rule(name string) (*Rule, bool) {
 // set. Compilation catches unknown identifiers, duplicate names, bad
 // builtin arity and malformed state machines.
 func Compile(f *File, signals []string) (*RuleSet, error) {
-	rs := &RuleSet{signals: make(map[string]bool, len(signals))}
-	for _, s := range signals {
-		rs.signals[s] = true
+	rs := &RuleSet{names: append([]string(nil), signals...), signals: make(map[string]int, len(signals))}
+	for i, s := range signals {
+		rs.signals[s] = i
 	}
 
 	consts := make(map[string]float64, len(f.Consts))
@@ -243,7 +118,7 @@ func Compile(f *File, signals []string) (*RuleSet, error) {
 			line, col := c.Pos()
 			return nil, errAt(line, col, "duplicate const %q", c.Name)
 		}
-		if rs.signals[c.Name] {
+		if rs.isSignal(c.Name) {
 			line, col := c.Pos()
 			return nil, errAt(line, col, "const %q shadows a signal", c.Name)
 		}
@@ -276,7 +151,7 @@ func Compile(f *File, signals []string) (*RuleSet, error) {
 		}
 		rs.rules = append(rs.rules, &Rule{
 			Name: s.Name, Description: s.Description, Kind: KindSpec,
-			consts: consts, spec: s,
+			set: rs, consts: consts, spec: s,
 		})
 	}
 
@@ -295,10 +170,16 @@ func Compile(f *File, signals []string) (*RuleSet, error) {
 		}
 		rs.rules = append(rs.rules, &Rule{
 			Name: m.Name, Description: m.Description, Kind: KindMonitor,
-			consts: consts, monitor: m, initial: initial,
+			set: rs, consts: consts, monitor: m, initial: initial,
 		})
 	}
 	return rs, nil
+}
+
+// isSignal reports whether name is in the rule set's signal universe.
+func (rs *RuleSet) isSignal(name string) bool {
+	_, ok := rs.signals[name]
+	return ok
 }
 
 // letEnv returns the set of names visible to expressions in a rule with
@@ -322,7 +203,7 @@ func (rs *RuleSet) checkCommon(consts map[string]float64, lets []Let, warmups []
 	}
 	for _, l := range lets {
 		line, col := l.Pos()
-		if rs.signals[l.Name] {
+		if rs.isSignal(l.Name) {
 			return errAt(line, col, "let %q shadows a signal", l.Name)
 		}
 		if partial[l.Name] {
@@ -399,7 +280,7 @@ func (rs *RuleSet) checkExpr(e Expr, env map[string]bool) error {
 	case *NumberLit, *BoolLit:
 		return nil
 	case *Ident:
-		if rs.signals[x.Name] || env[x.Name] {
+		if rs.isSignal(x.Name) || env[x.Name] {
 			return nil
 		}
 		line, col := x.Pos()
@@ -422,7 +303,7 @@ func (rs *RuleSet) checkExpr(e Expr, env map[string]bool) error {
 		}
 		if x.Func == "updated" {
 			id, ok := x.Args[0].(*Ident)
-			if !ok || !rs.signals[id.Name] {
+			if !ok || !rs.isSignal(id.Name) {
 				return errAt(line, col, "updated() requires a signal name argument")
 			}
 		}

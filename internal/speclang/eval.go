@@ -102,23 +102,27 @@ func (r RuleResult) ActivationRatio() float64 {
 // paper's Table I; otherwise "S").
 func (r RuleResult) Violated() bool { return len(r.Violations) > 0 }
 
-// Eval runs every rule in the set over the source by pushing its rows
-// through a StreamChecker, which runs them in full blocks: the rules'
-// signals are read from the source, and the closed violations are
-// gathered per rule beside the checker's step accounting. A signal a rule references but the
-// source lacks is an error.
+// Eval compiles the rule set for the source's step period and runs it
+// over the source: NewProgram then Program.Eval.
 func (rs *RuleSet) Eval(src Source, opts EvalOptions) ([]RuleResult, error) {
-	universe := rs.SignalUniverse()
-	seen := make(map[string]bool)
-	var names []string
-	for _, r := range rs.rules {
-		for _, name := range r.Signals(universe) {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
+	p, err := rs.NewProgram(src.StepPeriod(), opts)
+	if err != nil {
+		return nil, err
 	}
+	return p.Eval(src)
+}
+
+// Eval runs every rule over the source by pushing its rows through a
+// new checker, which runs them in full blocks: the signals the rules
+// load are read from the source, and the closed violations are
+// gathered per rule beside the checker's step accounting. A loaded
+// signal the source lacks is an error, as is a source whose step period
+// is not the program's.
+func (p *Program) Eval(src Source) ([]RuleResult, error) {
+	if src.StepPeriod() != p.period {
+		return nil, fmt.Errorf("speclang: source steps %v, program steps %v", src.StepPeriod(), p.period)
+	}
+	names := p.signals()
 	cols := make([][]float64, len(names))
 	fresh := make([][]bool, len(names))
 	for i, name := range names {
@@ -129,15 +133,15 @@ func (rs *RuleSet) Eval(src Source, opts EvalOptions) ([]RuleResult, error) {
 		}
 		cols[i], fresh[i] = v, u
 	}
-	sc, err := rs.NewStreamChecker(names, src.StepPeriod(), opts)
+	sc, err := p.NewChecker(names)
 	if err != nil {
 		return nil, err
 	}
-	index := make(map[string]int, len(rs.rules))
-	for i, r := range rs.rules {
-		index[r.Name] = i
+	index := make(map[string]int, len(p.rules))
+	for i := range p.rules {
+		index[p.rules[i].rule.Name] = i
 	}
-	violations := make([][]Violation, len(rs.rules))
+	violations := make([][]Violation, len(p.rules))
 	collect := func(events []Event) {
 		for _, e := range events {
 			if e.Kind == ViolationEnd {

@@ -70,20 +70,20 @@ spec B {
   severity delta(x)
   assert a -> eventually[0:400ms](delta(x) <= 0)
 }`, "x", "a")
-	sc, err := rs.NewStreamChecker([]string{"x", "a"}, 10*time.Millisecond, EvalOptions{})
+	p, err := rs.NewProgram(10*time.Millisecond, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := func(r *ruleStream, op opcode) int {
+	count := func(r *ruleProg, op opcode) int {
 		n := 0
-		for _, in := range r.prog.code[r.lo:r.hi] {
+		for _, in := range p.code[r.lo:r.hi] {
 			if in.op == op {
 				n++
 			}
 		}
 		return n
 	}
-	a, b := sc.rules[0], sc.rules[1]
+	a, b := &p.rules[0], &p.rules[1]
 	if got := count(a, opDelta); got != 1 {
 		t.Errorf("rule A: %d delta instructions, want 1 shared", got)
 	}
@@ -104,10 +104,10 @@ spec B {
 	// Both rules load x from the one input block; every register an
 	// instruction writes belongs to one rule.
 	written := make(map[int32]bool)
-	for _, in := range a.prog.code[a.lo:a.hi] {
+	for _, in := range p.code[a.lo:a.hi] {
 		written[in.dst] = true
 	}
-	for _, in := range b.prog.code[b.lo:b.hi] {
+	for _, in := range p.code[b.lo:b.hi] {
 		if written[in.dst] {
 			t.Errorf("rules share register %d", in.dst)
 		}

@@ -2,6 +2,7 @@ package speclang
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -445,6 +446,21 @@ func TestEvalSimpleAssert(t *testing.T) {
 	}
 	if v.Start != 20*time.Millisecond || v.Duration() != 20*time.Millisecond {
 		t.Errorf("interval times %v +%v", v.Start, v.Duration())
+	}
+}
+
+// TestEvalReadsOnlyLoadedSignals pins that a signal only an unused let
+// references is never demanded: Eval runs over a source without it,
+// and the rule's Signals do not list it.
+func TestEvalReadsOnlyLoadedSignals(t *testing.T) {
+	rs := compileOne(t, `spec R { let u = y > 0 assert x > 0 }`, "x", "y")
+	src := newMemSource(10*time.Millisecond).add("x", 1, 0, 1)
+	res := evalOne(t, rs, src)
+	if len(res.Violations) != 1 || res.Violations[0].StartStep != 1 {
+		t.Fatalf("violations = %+v, want one at step 1", res.Violations)
+	}
+	if got := rs.Rules()[0].Signals(); !reflect.DeepEqual(got, []string{"x"}) {
+		t.Errorf("Signals = %v, want [x]", got)
 	}
 }
 

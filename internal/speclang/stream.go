@@ -3,7 +3,6 @@ package speclang
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // This file implements rule evaluation, the one evaluator behind both
@@ -16,13 +15,15 @@ import (
 // state (buffers no longer than the temporal horizon). The tests pin it
 // against the reference semantics in reference_test.go.
 //
-// Each rule compiles once into a program: a flat, topologically ordered
-// instruction slice. The checker links the rules' programs into one,
-// over a register file of columns, and runs it a block of input steps
-// at a time, one instruction over the whole block before the next, so
-// opcode dispatch is paid per block, not per step; a single step is a
-// one-step block. Every register carries a delay: the value its column
-// holds for input step k belongs to step k-delay. A bounded
+// A rule set compiles once per step period and delta mode into a
+// Program: a flat, topologically ordered instruction slice, rule by
+// rule, over a register file of columns. A StreamChecker is one
+// session's state over a Program: the register file and the memory of
+// every stateful instruction. It runs the program a block of input
+// steps at a time, one instruction over the whole block before the
+// next, so opcode dispatch is paid per block, not per step; a single
+// step is a one-step block. Every register carries a delay: the value
+// its column holds for input step k belongs to step k-delay. A bounded
 // eventually[lo:hi] can only decide step s once step s+hi has been
 // seen, so its delay is hi steps plus its operand's. Delays are resolved
 // at compile time: operands of equal delay combine in place, and only
@@ -30,8 +31,8 @@ import (
 // through a fixed-length delay line. Within a rule, inlined lets and
 // repeated subexpressions compile to one instruction each; that sharing
 // is exact because every instruction is a deterministic function of its
-// operands' step sequences. Rules share only the input columns, and
-// each owns a contiguous range of the linked program, so per-rule
+// operands' step sequences. Rules share only the input and constant
+// columns, and each owns a contiguous range of the program, so per-rule
 // timing stays exact. After the final input step, Finish keeps running
 // each rule's range with exhausted inputs, draining it with the
 // reference's truncated-window semantics.
@@ -108,10 +109,10 @@ type (
 )
 
 // instr is one program instruction. It writes register dst from the
-// operand registers a, b and c; stateful opcodes keep their state in
-// the program's per-kind slice at index state. Until the checker links
-// the program, registers are numbered per rule; after, each indexes the
-// checker's register file (see program.v).
+// operand registers a, b and c, which index a checker's register file;
+// stateful opcodes keep their state in the checker's per-kind slice at
+// index state. A checker resolves the registers' value columns once,
+// when it opens (see operands).
 type instr struct {
 	op opcode
 	// fresh is set when some reader consumes dst's freshness column
@@ -124,12 +125,17 @@ type instr struct {
 	// hold a value. end is dst's delay; only temporal lookahead and
 	// delay lines make it exceed start.
 	start, end int32
-
-	// The linked value columns of dst, a, b and c, resolved once so
-	// the executor indexes no register file for values. Freshness,
-	// read far more rarely, is indexed from the register file.
-	out, x, y, z *column
+	// lo and hi are a temporal window's bounds in steps.
+	lo, hi int32
 }
+
+// operands holds one instruction's value columns in a checker's
+// register file: dst's and those of a, b and c. The executor reads them
+// here rather than indexing the register file per instruction: on a
+// one-step block that indexing cost as much as the instruction's own
+// work. Freshness, read far more rarely, is indexed from the register
+// file.
+type operands struct{ out, x, y, z *column }
 
 // arity returns how many operands an instruction of this opcode reads.
 func (op opcode) arity() int {
@@ -150,11 +156,6 @@ type reg struct {
 	u bool
 }
 
-// load binds input signal src to register dst.
-type load struct {
-	src, dst int32
-}
-
 // histState is the memory of prev/delta/rate/changed: the previous step
 // under DeltaNaive, the previous update under DeltaUpdateAware.
 type histState struct {
@@ -169,14 +170,14 @@ type histState struct {
 
 // window is the state of one bounded temporal operator: the truthiness
 // of its operand over a ring indexed by operand step, and how many
-// operand steps in the current window are truthy.
+// operand steps in the current window are truthy. Its bounds are the
+// instruction's.
 type window struct {
-	truth  []bool // future: hi-lo+1 slots; past: hi+1 slots
-	fresh  []bool // future only: operand freshness, delayed hi steps
-	lo, hi int
-	count  int
-	first  int // oldest operand step in the window (future operators)
-	seen   int // operand steps consumed
+	truth []bool // future: hi-lo+1 slots; past: hi+1 slots
+	fresh []bool // future only: operand freshness, delayed hi steps
+	count int
+	first int // oldest operand step in the window (future operators)
+	seen  int // operand steps consumed
 	// Future operators walk their rings by cursor: pos and fpos are the
 	// truth and fresh slots the next push writes, out the fresh slot of
 	// the next output step.
@@ -190,45 +191,21 @@ type line struct {
 	pos   int
 }
 
-// program is one rule's compiled evaluator.
-type program struct {
-	loads []load
-	code  []instr
-	// init is each register's preset value: a constant's value, zero
-	// for every other register.
-	init  []float64
-	hists []histState
-	edges []bool // rise/fall: the operand's previous truthiness
-	wins  []window
-	lines []line
-
-	// v and u are the checker's register file, shared by every rule
-	// and set when the checker links the program. Register r is the
-	// value column v[r] and the freshness column u[r]; slot j of a
-	// block holds input step k0+j. A load register is a column of the
-	// checker's one input block.
-	v []column
-	u []freshColumn
-
-	mode   DeltaMode
-	period float64 // seconds
-}
-
-// exec runs instructions code[lo:hi] over input steps k0 through
-// k0+m-1 (0 < m <= blockSteps), one instruction over the whole block at
-// a time: the whole program for a block, one rule's range for a timed
-// step or a rule's drain. n is the number of input
-// steps, or math.MaxInt while the trace is still open; at k >= n the
-// inputs are exhausted and only the outputs still owed are produced:
-// delay lines shift out and future windows emit truncated verdicts.
+// exec runs the program's instructions code[lo:hi] over input steps k0
+// through k0+m-1 (0 < m <= blockSteps), one instruction over the whole
+// block at a time: one rule's range, for a block or the rule's drain.
+// n is the number of input steps, or math.MaxInt while the trace is
+// still open; at k >= n the inputs are exhausted and only the outputs
+// still owed are produced: delay lines shift out and future windows
+// emit truncated verdicts.
 //
 // A register of delay d holds step k-d in slot k-k0 whenever
 // 0 <= k-d < n. Stateless instructions fill their whole column: outside
 // that range they write values no valid reader consumes. Stateful ones
 // walk their column in step order and advance only on valid operands.
-func (p *program) exec(lo, hi, k0, m, n int) {
-	for i := p.execInline(lo, hi, k0, m, n); i < hi; i = p.execInline(i+1, hi, k0, m, n) {
-		p.execRing(&p.code[i], k0, m, n)
+func (sc *StreamChecker) exec(lo, hi, k0, m, n int) {
+	for i := sc.execInline(lo, hi, k0, m, n); i < hi; i = sc.execInline(i+1, hi, k0, m, n) {
+		sc.execRing(i, k0, m, n)
 	}
 }
 
@@ -236,14 +213,14 @@ func (p *program) exec(lo, hi, k0, m, n int) {
 // the next one that keeps a ring buffer (a temporal window or a delay
 // line), and returns that one's index (hi when none). The loop makes no
 // call, so its state stays in machine registers.
-func (p *program) execInline(i, hi, k0, m, n int) int {
+func (sc *StreamChecker) execInline(i, hi, k0, m, n int) int {
 	if m > blockSteps {
 		panic("speclang: block exceeds blockSteps")
 	}
-	code, u := p.code[:hi], p.u
+	code, cols, u := sc.p.code[:hi], sc.cols[:hi], sc.u
 	for ; i < len(code); i++ {
-		in := &code[i]
-		dst, x := in.out[:m], in.x
+		in, c := &code[i], &cols[i]
+		dst, x := c.out[:m], c.x
 		switch in.op {
 		case opNot:
 			for j := range dst {
@@ -254,69 +231,69 @@ func (p *program) execInline(i, hi, k0, m, n int) int {
 				dst[j] = -x[j]
 			}
 		case opAdd:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = x[j] + y[j]
 			}
 		case opSub:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = x[j] - y[j]
 			}
 		case opMul:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = x[j] * y[j]
 			}
 		case opDiv:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = x[j] / y[j]
 			}
 		case opAnd:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = b2f(truthy(x[j]) && truthy(y[j]))
 			}
 		case opOr:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = b2f(truthy(x[j]) || truthy(y[j]))
 			}
 		case opImplies:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = b2f(!truthy(x[j]) || truthy(y[j]))
 			}
 		// Go's ordered comparisons and == are already false on NaN,
 		// the language's rule; only != needs the explicit test.
 		case opLT:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = b2f(x[j] < y[j])
 			}
 		case opLE:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = b2f(x[j] <= y[j])
 			}
 		case opGT:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = b2f(x[j] > y[j])
 			}
 		case opGE:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = b2f(x[j] >= y[j])
 			}
 		case opEQ:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = b2f(x[j] == y[j])
 			}
 		case opNE:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = b2f(x[j] != y[j] && x[j] == x[j] && y[j] == y[j])
 			}
@@ -329,17 +306,17 @@ func (p *program) execInline(i, hi, k0, m, n int) int {
 				dst[j] = math.Abs(x[j])
 			}
 		case opMin:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = min(x[j], y[j])
 			}
 		case opMax:
-			y := in.y
+			y := c.y
 			for j := range dst {
 				dst[j] = max(x[j], y[j])
 			}
 		case opCond:
-			y, z := in.y, in.z
+			y, z := c.y, c.z
 			for j := range dst {
 				if truthy(x[j]) {
 					dst[j] = y[j]
@@ -354,7 +331,7 @@ func (p *program) execInline(i, hi, k0, m, n int) int {
 			}
 		case opRise, opFall:
 			lo, hi := span(k0, m, in.start, n)
-			was, rise := p.edges[in.state], in.op == opRise
+			was, rise := sc.edges[in.state], in.op == opRise
 			for j := lo; j < hi; j++ {
 				cur := truthy(x[j])
 				if rise {
@@ -364,7 +341,7 @@ func (p *program) execInline(i, hi, k0, m, n int) int {
 				}
 				was = cur
 			}
-			p.edges[in.state] = was
+			sc.edges[in.state] = was
 			if in.fresh {
 				for j := lo; j < hi; j++ {
 					u[in.dst][j] = u[in.a][j]
@@ -373,10 +350,10 @@ func (p *program) execInline(i, hi, k0, m, n int) int {
 			continue
 		case opPrev, opDelta, opRate, opChanged:
 			lo, hi := span(k0, m, in.start, n)
-			h := &p.hists[in.state]
+			h, mode := &sc.hists[in.state], sc.p.mode
 			for j := lo; j < hi; j++ {
 				var prev float64
-				if p.mode == DeltaNaive {
+				if mode == DeltaNaive {
 					prev = h.naive(x[j])
 				} else {
 					prev = h.updateAware(x[j], u[in.a][j])
@@ -387,7 +364,7 @@ func (p *program) execInline(i, hi, k0, m, n int) int {
 				case opDelta:
 					dst[j] = x[j] - prev
 				case opRate:
-					dst[j] = (x[j] - prev) / h.gap(p.mode, p.period)
+					dst[j] = (x[j] - prev) / h.gap(mode, sc.p.secs)
 				default: // opChanged
 					d := x[j] - prev
 					dst[j] = b2f(!math.IsNaN(d) && d != 0)
@@ -427,19 +404,20 @@ func (p *program) execInline(i, hi, k0, m, n int) int {
 	return i
 }
 
-// execRing runs one temporal window or delay line over a block: it
-// walks the column in step order, advancing its state only at the slots
-// whose operand step is valid, and writes dst only where its output
-// step is.
-func (p *program) execRing(in *instr, k0, m, n int) {
-	dst, x := in.out[:m], in.x
-	du, xu := &p.u[in.dst], &p.u[in.a]
+// execRing runs instruction code[i], a temporal window or delay line,
+// over a block: it walks the column in step order, advancing its state
+// only at the slots whose operand step is valid, and writes dst only
+// where its output step is.
+func (sc *StreamChecker) execRing(i, k0, m, n int) {
+	in, c := &sc.p.code[i], &sc.cols[i]
+	dst, x := c.out[:m], c.x
+	du, xu := &sc.u[in.dst], &sc.u[in.a]
 	switch in.op {
 	case opOnce, opHistorically:
 		lo, hi := span(k0, m, in.start, n)
-		w, once := &p.wins[in.state], in.op == opOnce
+		w, once := &sc.wins[in.state], in.op == opOnce
 		for j := lo; j < hi; j++ {
-			dst[j] = w.past(truthy(x[j]), once)
+			dst[j] = w.past(truthy(x[j]), int(in.lo), int(in.hi), once)
 		}
 		if in.fresh {
 			copy(du[lo:hi], xu[lo:hi])
@@ -449,17 +427,17 @@ func (p *program) execRing(in *instr, k0, m, n int) {
 		// dst's, end-start slots later; interleave them in step order.
 		plo, phi := span(k0, m, in.start, n)
 		olo, ohi := span(k0, m, in.end, n)
-		w, ev := &p.wins[in.state], in.op == opEventually
+		w, ev := &sc.wins[in.state], in.op == opEventually
 		for j := min(plo, olo); j < max(phi, ohi); j++ {
 			if j >= plo && j < phi {
 				w.push(truthy(x[j]), in.fresh && xu[j])
 			}
 			if j >= olo && j < ohi {
-				dst[j], du[j] = w.future(k0+j-int(in.end), ev)
+				dst[j], du[j] = w.future(k0+j-int(in.end), int(in.lo), int(in.hi), ev)
 			}
 		}
 	case opDelay:
-		l := &p.lines[in.state]
+		l := &sc.lines[in.state]
 		o := max(k0, int(in.start)) - int(in.start) // operand step of the first slot written
 		for j := o + int(in.start) - k0; j < m; j++ {
 			slot := &l.slots[l.pos]
@@ -528,8 +506,8 @@ func (h *histState) gap(mode DeltaMode, period float64) float64 {
 // read reads its operands' in turn. Decisions read values only. The
 // code is topologically ordered, so one backward pass meets every
 // reader of a register before its writer.
-func (p *program) markFresh() {
-	live := make([]bool, len(p.init))
+func (p *Program) markFresh() {
+	live := make([]bool, p.regs)
 	for i := len(p.code) - 1; i >= 0; i-- {
 		in := &p.code[i]
 		in.fresh = live[in.dst]
@@ -573,18 +551,18 @@ func (w *window) push(t, fresh bool) {
 // the inputs are exhausted the window is truncated at the last operand
 // step; an empty or witness-free truncated window is "no evidence",
 // benign for both operators, as in the reference semantics.
-func (w *window) future(o int, eventually bool) (float64, bool) {
+func (w *window) future(o, lo, hi int, eventually bool) (float64, bool) {
 	fresh := w.fresh[w.out]
 	if w.out++; w.out == len(w.fresh) {
 		w.out = 0
 	}
-	if o+w.hi < w.seen { // complete window
+	if o+hi < w.seen { // complete window
 		if eventually {
 			return b2f(w.count > 0), fresh
 		}
 		return b2f(w.count == len(w.truth)), fresh
 	}
-	for w.first < o+w.lo && w.first < w.seen {
+	for w.first < o+lo && w.first < w.seen {
 		if w.truth[w.first%len(w.truth)] {
 			w.count--
 		}
@@ -599,73 +577,56 @@ func (w *window) future(o int, eventually bool) (float64, bool) {
 // past feeds operand step t to a once/historically window and returns
 // the verdict for step t over operand steps [t-hi, t-lo]. Past windows
 // need no lookahead, so the operator adds no delay.
-func (w *window) past(truth, once bool) float64 {
+func (w *window) past(truth bool, lo, hi int, once bool) float64 {
 	t := w.seen
 	w.seen++
 	size := len(w.truth)
 	slot := t % size
-	if t > w.hi && w.truth[slot] { // step t-hi-1 leaves the window
+	if t > hi && w.truth[slot] { // step t-hi-1 leaves the window
 		w.count--
 	}
 	w.truth[slot] = truth
-	if t >= w.lo && w.truth[(t-w.lo)%size] { // step t-lo enters it
+	if t >= lo && w.truth[(t-lo)%size] { // step t-lo enters it
 		w.count++
 	}
 	switch {
-	case t < w.lo:
+	case t < lo:
 		return 1 // the window lies entirely before the trace
 	case once:
-		return b2f(w.count > 0 || t < w.hi) // a witness, or a truncated window
+		return b2f(w.count > 0 || t < hi) // a witness, or a truncated window
 	default:
-		return b2f(w.count == t-w.lo-max(0, t-w.hi)+1)
+		return b2f(w.count == t-lo-max(0, t-hi)+1)
 	}
 }
 
-// compiler lowers one rule's expressions into a program, sharing
-// identical subexpressions.
+// compiler lowers a rule set into a Program, rule by rule, sharing
+// identical subexpressions within a rule and the input and constant
+// columns across rules.
 type compiler struct {
-	p       *program
-	signals map[string]int // name -> input index
+	p       *Program
+	signals map[string]int // name -> index in the rule set's universe
 	consts  map[string]float64
 	lets    map[string]Expr
-	period  time.Duration
 
-	delay     []int // per register
-	shared    map[instrKey]int32
-	constRegs map[uint64]int32 // by value bits
+	delay     []int              // per register
+	shared    map[instrKey]int32 // the current rule's instructions
+	inputs    map[int32]int32    // signal index -> input register
+	constRegs map[uint64]int32   // by value bits
 }
 
 // instrKey identifies an instruction by what it computes: two
 // instructions with equal keys produce equal step sequences. args holds
-// operand registers (-1 when unused); opLoad's first arg is the input
-// signal index instead.
+// operand registers (-1 when unused).
 type instrKey struct {
 	op     opcode
 	args   [3]int32
 	lo, hi int
 }
 
-func newCompiler(signals map[string]int, consts map[string]float64, lets []Let, mode DeltaMode, period time.Duration) *compiler {
-	c := &compiler{
-		p:         &program{mode: mode, period: period.Seconds()},
-		signals:   signals,
-		consts:    consts,
-		lets:      make(map[string]Expr, len(lets)),
-		period:    period,
-		shared:    make(map[instrKey]int32),
-		constRegs: make(map[uint64]int32),
-	}
-	for _, l := range lets {
-		c.lets[l.Name] = l.X
-	}
-	return c
-}
-
 // register allocates a register with the given delay.
-func (c *compiler) register(v float64, delay int) int32 {
-	c.p.init = append(c.p.init, v)
+func (c *compiler) register(delay int) int32 {
 	c.delay = append(c.delay, delay)
-	return int32(len(c.p.init) - 1)
+	return int32(len(c.delay) - 1)
 }
 
 // constant returns a register preset to v; no instruction writes it.
@@ -674,8 +635,21 @@ func (c *compiler) constant(v float64) int32 {
 	if r, ok := c.constRegs[bits]; ok {
 		return r
 	}
-	r := c.register(v, 0)
+	r := c.register(0)
+	c.p.consts = append(c.p.consts, preset{reg: r, v: v})
 	c.constRegs[bits] = r
+	return r
+}
+
+// input returns the register of the input column signal src is read
+// into, one per loaded signal.
+func (c *compiler) input(src int32) int32 {
+	if r, ok := c.inputs[src]; ok {
+		return r
+	}
+	r := c.register(0)
+	c.p.inputs = append(c.p.inputs, input{src: src, reg: r})
+	c.inputs[src] = r
 	return r
 }
 
@@ -698,12 +672,6 @@ func (c *compiler) emit(k instrKey) int32 {
 		return r
 	}
 	p := c.p
-	if k.op == opLoad {
-		dst := c.register(0, 0)
-		p.loads = append(p.loads, load{src: k.args[0], dst: dst})
-		c.shared[k] = dst
-		return dst
-	}
 	start := 0
 	for _, r := range k.args {
 		if r >= 0 {
@@ -718,27 +686,28 @@ func (c *compiler) emit(k instrKey) int32 {
 			operands[i] = 0 // unused; any register is safe to address
 		}
 	}
-	in := instr{op: k.op, a: operands[0], b: operands[1], c: operands[2], state: -1, start: int32(start), end: int32(start)}
+	in := instr{op: k.op, a: operands[0], b: operands[1], c: operands[2], state: -1,
+		start: int32(start), end: int32(start), lo: int32(k.lo), hi: int32(k.hi)}
 	switch k.op {
 	case opRise, opFall:
-		in.state = int32(len(p.edges))
-		p.edges = append(p.edges, false)
+		in.state = int32(p.edges)
+		p.edges++
 	case opPrev, opDelta, opRate, opChanged:
-		in.state = int32(len(p.hists))
-		p.hists = append(p.hists, histState{prevUpd: math.NaN(), curVal: math.NaN(), prevStep: -1, curStep: -1})
+		in.state = int32(p.hists)
+		p.hists++
 	case opAlways, opEventually:
 		in.state = int32(len(p.wins))
-		p.wins = append(p.wins, window{truth: make([]bool, k.hi-k.lo+1), fresh: make([]bool, k.hi+1), lo: k.lo, hi: k.hi})
+		p.wins = append(p.wins, ringSize{truth: k.hi - k.lo + 1, fresh: k.hi + 1})
 		in.end += int32(k.hi)
 	case opOnce, opHistorically:
 		in.state = int32(len(p.wins))
-		p.wins = append(p.wins, window{truth: make([]bool, k.hi+1), lo: k.lo, hi: k.hi})
+		p.wins = append(p.wins, ringSize{truth: k.hi + 1})
 	case opDelay:
 		in.state = int32(len(p.lines))
-		p.lines = append(p.lines, line{slots: make([]reg, k.hi)})
+		p.lines = append(p.lines, k.hi)
 		in.end += int32(k.hi)
 	}
-	in.dst = c.register(0, int(in.end))
+	in.dst = c.register(int(in.end))
 	p.code = append(p.code, in)
 	c.shared[k] = in.dst
 	return in.dst
@@ -762,10 +731,9 @@ func (c *compiler) build(e Expr) (int32, error) {
 		idx, ok := c.signals[x.Name]
 		if !ok {
 			line, col := x.Pos()
-			return 0, errAt(line, col, "signal %q is not present in the stream", x.Name)
+			return 0, errAt(line, col, "unknown identifier %q", x.Name)
 		}
-		k.op, k.args[0] = opLoad, int32(idx)
-		return c.emit(k), nil
+		return c.input(int32(idx)), nil
 	case *Unary:
 		k.op = opNeg
 		if x.Op == tokNot {
@@ -791,7 +759,7 @@ func (c *compiler) build(e Expr) (int32, error) {
 		if !ok {
 			return 0, fmt.Errorf("speclang: internal error: unknown temporal operator %q", x.Op)
 		}
-		k.op, k.lo, k.hi = op, int(x.Lo/c.period), int(x.Hi/c.period)
+		k.op, k.lo, k.hi = op, int(x.Lo/c.p.period), int(x.Hi/c.p.period)
 		return c.buildArgs(k, x.X)
 	default:
 		return 0, fmt.Errorf("speclang: internal error: unknown expression node %T", e)

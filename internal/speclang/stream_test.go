@@ -130,9 +130,6 @@ func TestStreamChecksArgLengths(t *testing.T) {
 	if _, err := sc.Step([]float64{1, 2}, []bool{true, false}); err == nil {
 		t.Error("wrong-length step accepted")
 	}
-	if got := sc.Signals(); len(got) != 1 || got[0] != "x" {
-		t.Errorf("Signals = %v", got)
-	}
 }
 
 func TestStreamRejectsBadPeriod(t *testing.T) {

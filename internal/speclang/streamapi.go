@@ -3,42 +3,220 @@ package speclang
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
-// StreamChecker evaluates a compiled rule set: aligned steps are pushed
+// Program is a rule set compiled and linked for one step period and
+// delta mode: every rule's instructions, rule by rule in rule-set
+// order, whose operands index a register file; the constant presets;
+// each rule's decision metadata; and the sizes of the state a checker
+// allocates. Compile once, then open any number of checkers over it: a
+// Program is never written after NewProgram returns, so checkers on
+// many goroutines may share one.
+type Program struct {
+	period time.Duration
+	secs   float64 // the period in seconds, which rate divides by
+	mode   DeltaMode
+	names  []string // the rule set's signal universe; inputs index it
+
+	code  []instr
+	rules []ruleProg
+	// inputs binds each signal some rule loads to its input column,
+	// and consts presets the constant columns no instruction writes.
+	inputs []input
+	consts []preset
+
+	// The state a checker allocates: regs register columns, edges
+	// rise/fall bits, hists difference memories, one ring pair per
+	// window, one slot ring per delay line, and warmups warmup states.
+	regs, edges, hists int
+	wins               []ringSize
+	lines              []int
+	warmups            int
+}
+
+// input binds signal src to register reg. In a Program src indexes the
+// rule set's signal universe; in a checker, the caller's value order.
+type input struct{ src, reg int32 }
+
+// preset fills register reg's column with v.
+type preset struct {
+	reg int32
+	v   float64
+}
+
+// ringSize is a window's ring lengths: truth, and fresh (future
+// windows only).
+type ringSize struct{ truth, fresh int }
+
+// NewProgram compiles and links the rule set for the given step period
+// and options.
+func (rs *RuleSet) NewProgram(period time.Duration, opts EvalOptions) (*Program, error) {
+	return rs.link(rs.rules, period, opts.DeltaMode)
+}
+
+// link compiles the given rules of the set into one Program.
+func (rs *RuleSet) link(rules []*Rule, period time.Duration, mode DeltaMode) (*Program, error) {
+	if period <= 0 {
+		return nil, fmt.Errorf("speclang: non-positive stream period %v", period)
+	}
+	c := &compiler{
+		p:         &Program{period: period, secs: period.Seconds(), mode: mode, names: rs.names},
+		signals:   rs.signals,
+		shared:    make(map[instrKey]int32),
+		inputs:    make(map[int32]int32),
+		constRegs: make(map[uint64]int32),
+	}
+	for _, r := range rules {
+		if err := c.rule(r); err != nil {
+			return nil, err
+		}
+	}
+	p := c.p
+	p.regs = len(c.delay)
+	for i := range p.rules {
+		p.warmups += len(p.rules[i].warmups)
+	}
+	p.markFresh()
+	return p, nil
+}
+
+// NewStreamChecker compiles the rule set for the period and options and
+// opens a checker over the given signal order: NewProgram then
+// NewChecker. A caller that opens more than one checker should keep
+// the Program.
+func (rs *RuleSet) NewStreamChecker(signals []string, period time.Duration, opts EvalOptions) (*StreamChecker, error) {
+	p, err := rs.NewProgram(period, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.NewChecker(signals)
+}
+
+// NewChecker opens a checker over the program: it allocates the
+// session's state and binds each signal the rules load to its index in
+// signals, the order of the value slices passed to Push and Step. A
+// loaded signal missing from signals is an error; signals no rule
+// loads are ignored.
+func (p *Program) NewChecker(signals []string) (*StreamChecker, error) {
+	sc := &StreamChecker{
+		p:     p,
+		width: len(signals),
+		bind:  make([]input, len(p.inputs)),
+		v:     make([]column, p.regs),
+		u:     make([]freshColumn, p.regs),
+		cols:  make([]operands, len(p.code)),
+		edges: make([]bool, p.edges),
+		hists: make([]histState, p.hists),
+		wins:  make([]window, len(p.wins)),
+		lines: make([]line, len(p.lines)),
+		rules: make([]ruleState, len(p.rules)),
+	}
+	for i, in := range p.inputs {
+		name := p.names[in.src]
+		j := slices.Index(signals, name)
+		if j < 0 {
+			return nil, fmt.Errorf("speclang: signal %q is not present in the stream", name)
+		}
+		sc.bind[i] = input{src: int32(j), reg: in.reg}
+	}
+	for i, in := range p.code {
+		sc.cols[i] = operands{&sc.v[in.dst], &sc.v[in.a], &sc.v[in.b], &sc.v[in.c]}
+	}
+	for _, c := range p.consts {
+		col := &sc.v[c.reg]
+		for j := range col {
+			col[j] = c.v
+		}
+	}
+	for i := range sc.hists {
+		sc.hists[i] = histState{prevUpd: math.NaN(), curVal: math.NaN(), prevStep: -1, curStep: -1}
+	}
+	ring := 0
+	for _, w := range p.wins {
+		ring += w.truth + w.fresh
+	}
+	rings := make([]bool, ring)
+	for i, w := range p.wins {
+		sc.wins[i].truth, rings = rings[:w.truth:w.truth], rings[w.truth:]
+		sc.wins[i].fresh, rings = rings[:w.fresh:w.fresh], rings[w.fresh:]
+	}
+	n := 0
+	for _, l := range p.lines {
+		n += l
+	}
+	slots := make([]reg, n)
+	for i, l := range p.lines {
+		sc.lines[i].slots, slots = slots[:l:l], slots[l:]
+	}
+	warm := make([]warmState, p.warmups)
+	for i := range sc.rules {
+		r, def := &sc.rules[i], &p.rules[i]
+		r.ruleProg, r.v = def, sc.v
+		r.warm, warm = warm[:len(def.warmups):len(def.warmups)], warm[len(def.warmups):]
+		if def.machine != nil {
+			r.cur = def.machine.initial
+		}
+	}
+	return sc, nil
+}
+
+// signals returns the names of the signals the rules load, in input
+// column order.
+func (p *Program) signals() []string {
+	out := make([]string, len(p.inputs))
+	for i, in := range p.inputs {
+		out[i] = p.names[in.src]
+	}
+	return out
+}
+
+// StreamChecker is one session of a Program: aligned steps are pushed
 // one at a time and violation events come back with a delay bounded by
-// each rule's temporal horizon. It is the only rule evaluator: RuleSet.Eval
-// drives it over the rows of a recorded source, and the online monitor
-// over the steps of a live frame stream.
+// each rule's temporal horizon. It is the only rule evaluator:
+// Program.Eval drives it over the rows of a recorded source, and the
+// online monitor over the steps of a live frame stream. It holds only
+// the session's state — the register file, the memory of every
+// stateful instruction and each rule's decision state — and reads the
+// shared Program for everything else. A checker is owned by one
+// goroutine.
 //
 // Pushed steps queue in an input block and run blockSteps at a time
-// (see program.exec); Flush runs a partial block, and Step is a
+// (see StreamChecker.exec); Flush runs a partial block, and Step is a
 // one-step block. However the steps are partitioned into blocks, the
 // events are the same and come back in the same order: by input step,
 // then by rule-set order.
 type StreamChecker struct {
-	period time.Duration
-	names  []string
-	index  map[string]int
-	rules  []*ruleStream
-	steps  int // input steps run
-	done   bool
+	p *Program
+	// width is the length of the value slices Push takes, and bind
+	// holds the program's inputs with each src rebound to the index of
+	// its signal in them.
+	width int
+	bind  []input
+	rules []ruleState
+	steps int // input steps run
+	done  bool
+	// rows is how many queued steps the input block holds.
+	rows int
 
-	// inputs binds each signal some rule loads to its column of the
-	// input block; rows is how many queued steps the block holds.
-	inputs []input
-	rows   int
-	// prog holds every rule's instructions, rule by rule in rule-set
-	// order, and the register file they run on: the input block's
-	// columns, then each rule's own registers.
-	prog *program
+	// The register file: register r is the value column v[r] and the
+	// freshness column u[r]; slot j of a block holds input step k0+j.
+	// An input register is a column of the one input block. cols[i]
+	// holds instruction i's value columns.
+	v    []column
+	u    []freshColumn
+	cols []operands
+	// The state of the stateful instructions, indexed by instr.state.
+	edges []bool // rise/fall: the operand's previous truthiness
+	hists []histState
+	wins  []window
+	lines []line
 
 	// evbuf is reused across calls so a steady-state step performs no
-	// allocation; next is gather's per-rule merge cursor, and supp the
-	// warmup masks of the rule being decided.
+	// allocation, and supp holds the warmup masks of the rule being
+	// decided.
 	evbuf []Event
-	next  []int
 	supp  [blockSteps]bool
 
 	// nanos, when non-nil, receives each rule's block time (see Time),
@@ -47,103 +225,9 @@ type StreamChecker struct {
 	last  time.Time
 }
 
-// NewStreamChecker builds an online checker over the given signal
-// universe (names index the value slices passed to Push and Step).
-func (rs *RuleSet) NewStreamChecker(signals []string, period time.Duration, opts EvalOptions) (*StreamChecker, error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("speclang: non-positive stream period %v", period)
-	}
-	sc := &StreamChecker{
-		period: period,
-		names:  append([]string(nil), signals...),
-		index:  make(map[string]int, len(signals)),
-	}
-	for i, n := range signals {
-		sc.index[n] = i
-	}
-	for _, r := range rs.rules {
-		st, err := newRuleStream(r, sc.index, period, opts)
-		if err != nil {
-			return nil, err
-		}
-		sc.rules = append(sc.rules, st)
-	}
-	sc.next = make([]int, len(sc.rules))
-	sc.link(opts.DeltaMode)
-	return sc, nil
-}
-
-// link lays out the register file, one input column per loaded
-// signal, shared by every rule that loads it, then each rule's other
-// registers; and it joins the rules' programs into one, so a block runs
-// every rule's instructions in one pass.
-func (sc *StreamChecker) link(mode DeltaMode) {
-	inputs := make(map[int32]int32) // signal index -> column
-	for _, r := range sc.rules {
-		for _, l := range r.prog.loads {
-			if _, ok := inputs[l.src]; !ok {
-				inputs[l.src] = int32(len(sc.inputs))
-				sc.inputs = append(sc.inputs, input{src: l.src, reg: int32(len(sc.inputs))})
-			}
-		}
-	}
-	size, regs := int32(len(sc.inputs)), 0
-	var code, edges, hists, wins, lines int
-	for _, r := range sc.rules {
-		p := r.prog
-		regs = max(regs, len(p.init))
-		size += int32(len(p.init) - len(p.loads))
-		code += len(p.code)
-		edges += len(p.edges)
-		hists += len(p.hists)
-		wins += len(p.wins)
-		lines += len(p.lines)
-	}
-	prog := &program{
-		code:  make([]instr, 0, code),
-		edges: make([]bool, 0, edges),
-		hists: make([]histState, 0, hists),
-		wins:  make([]window, 0, wins),
-		lines: make([]line, 0, lines),
-		v:     make([]column, size),
-		u:     make([]freshColumn, size),
-		mode:  mode, period: sc.period.Seconds(),
-	}
-	for i := range sc.inputs {
-		in := &sc.inputs[i]
-		in.v, in.u = &prog.v[in.reg], &prog.u[in.reg]
-	}
-	next := int32(len(sc.inputs))
-	off := make([]int32, regs)
-	for _, r := range sc.rules {
-		off := off[:len(r.prog.init)]
-		for j := range off {
-			off[j] = -1
-		}
-		for _, l := range r.prog.loads {
-			off[l.dst] = inputs[l.src]
-		}
-		for j := range off {
-			if off[j] < 0 {
-				off[j] = next
-				next++
-			}
-		}
-		r.link(off, prog)
-	}
-	sc.prog = prog
-}
-
 // NumRules returns the number of rules the checker evaluates: the
 // length Time expects of its nanos slice.
 func (sc *StreamChecker) NumRules() int { return len(sc.rules) }
-
-// Signals returns the signal order expected by Step.
-func (sc *StreamChecker) Signals() []string {
-	out := make([]string, len(sc.names))
-	copy(out, sc.names)
-	return out
-}
 
 // Push queues one aligned step: vals holds the held signal values in
 // the checker's signal order, upd the per-signal freshness bits. When
@@ -214,25 +298,17 @@ func (sc *StreamChecker) checkStep(vals []float64, upd []bool) error {
 	if sc.done {
 		return fmt.Errorf("speclang: Step after Finish")
 	}
-	if len(vals) != len(sc.names) || len(upd) != len(sc.names) {
-		return fmt.Errorf("speclang: step carries %d/%d entries, want %d", len(vals), len(upd), len(sc.names))
+	if len(vals) != sc.width || len(upd) != sc.width {
+		return fmt.Errorf("speclang: step carries %d/%d entries, want %d", len(vals), len(upd), sc.width)
 	}
 	return nil
 }
 
-// input binds input signal src to register reg, whose linked columns
-// are v and u.
-type input struct {
-	src, reg int32
-	v        *column
-	u        *freshColumn
-}
-
 // queue copies one step's loaded signals into the next input row.
 func (sc *StreamChecker) queue(vals []float64, upd []bool) {
-	j := sc.rows
-	for _, in := range sc.inputs {
-		in.v[j], in.u[j] = vals[in.src], upd[in.src]
+	j, v, u := sc.rows, sc.v, sc.u
+	for _, in := range sc.bind {
+		v[in.reg][j], u[in.reg][j] = vals[in.src], upd[in.src]
 	}
 	sc.rows++
 }
@@ -250,8 +326,9 @@ func (sc *StreamChecker) run() {
 		sc.last = clock()
 	}
 	emitting := 0
-	for i, r := range sc.rules {
-		sc.prog.exec(r.lo, r.hi, k0, m, math.MaxInt)
+	for i := range sc.rules {
+		r := &sc.rules[i]
+		sc.exec(r.lo, r.hi, k0, m, math.MaxInt)
 		r.decide(k0, m, &sc.supp)
 		if len(r.evs) > 0 {
 			emitting++
@@ -280,8 +357,8 @@ func (sc *StreamChecker) gather(emitting int) {
 	switch emitting {
 	case 0:
 	case 1:
-		for _, r := range sc.rules {
-			if len(r.evs) > 0 {
+		for i := range sc.rules {
+			if r := &sc.rules[i]; len(r.evs) > 0 {
 				sc.evbuf = append(sc.evbuf, r.evs...)
 				r.evs, r.evAt = r.evs[:0], r.evAt[:0]
 			}
@@ -294,22 +371,23 @@ func (sc *StreamChecker) gather(emitting int) {
 // merge is gather for events from more than one rule: it repeatedly
 // takes the event with the earliest slot, the earliest rule on a tie.
 func (sc *StreamChecker) merge() {
-	clear(sc.next)
+	rules := sc.rules
 	for {
-		pick := -1
-		for i, r := range sc.rules {
-			if c := sc.next[i]; c < len(r.evs) && (pick < 0 || r.evAt[c] < sc.rules[pick].evAt[sc.next[pick]]) {
-				pick = i
+		var pick *ruleState
+		for i := range rules {
+			if r := &rules[i]; r.next < len(r.evs) && (pick == nil || r.evAt[r.next] < pick.evAt[pick.next]) {
+				pick = r
 			}
 		}
-		if pick < 0 {
+		if pick == nil {
 			break
 		}
-		sc.evbuf = append(sc.evbuf, sc.rules[pick].evs[sc.next[pick]])
-		sc.next[pick]++
+		sc.evbuf = append(sc.evbuf, pick.evs[pick.next])
+		pick.next++
 	}
-	for _, r := range sc.rules {
-		r.evs, r.evAt = r.evs[:0], r.evAt[:0]
+	for i := range rules {
+		r := &rules[i]
+		r.evs, r.evAt, r.next = r.evs[:0], r.evAt[:0], 0
 	}
 }
 
@@ -343,9 +421,25 @@ func (sc *StreamChecker) Finish() ([]Event, error) {
 	sc.evbuf = sc.evbuf[:0]
 	sc.run()
 	sc.done = true
-	for _, r := range sc.rules {
-		r.finish(sc.steps, &sc.supp)
+	for i := range sc.rules {
+		r := &sc.rules[i]
+		sc.finish(r)
 		sc.gather(min(len(r.evs), 1))
 	}
 	return sc.evbuf, nil
+}
+
+// finish drains r after the last input step, deciding the output steps
+// still in flight, and closes any open violation at the end of the
+// trace. Events go to r.evs, in step order.
+func (sc *StreamChecker) finish(r *ruleState) {
+	n := sc.steps
+	for k0 := n; k0 < n+r.delay; k0 += blockSteps {
+		m := min(blockSteps, n+r.delay-k0)
+		sc.exec(r.lo, r.hi, k0, m, n)
+		r.decide(k0, m, &sc.supp)
+	}
+	if r.open {
+		r.emit(blockSteps, r.close(n))
+	}
 }

@@ -31,9 +31,11 @@ type Event struct {
 	Violation Violation
 }
 
-// ruleStream evaluates one compiled rule incrementally. The fields
-// decide reads on every step come first, so they share cache lines.
-type ruleStream struct {
+// ruleProg is one rule's part of a Program: its instruction range and
+// everything its decisions read. It is never written after compilation.
+type ruleProg struct {
+	rule   *Rule
+	period time.Duration
 	// delay is the rule's output delay. Every root register below is
 	// aligned to it, so after step k runs they all hold step k-delay.
 	delay int
@@ -41,28 +43,7 @@ type ruleStream struct {
 	// is triggered and every start-of-trace one has expired. MaxInt
 	// when some warmup has a trigger.
 	maskUntil int
-	// Monitors: the state machine consumes the guard registers.
-	machine *machine
-	// assertCols and anteCols are the linked columns of asserts and
-	// antes; v is the checker's register file, as the program's.
-	assertCols, anteCols []*column
-	v                    []column
-
-	// Per decided output step: how many were masked by a warmup, and
-	// how many exercised the rule (see RuleResult.ActivationSteps).
-	suppressed, active int
-
-	// open violation state
-	open      bool
-	openStart int
-	openMsg   string
-	peak      float64
-
-	rule   *Rule
-	period time.Duration
-	// prog is the rule's compiled program until the checker links it,
-	// then the checker's one program, of which the rule owns code[lo:hi].
-	prog   *program
+	// The rule owns code[lo:hi] of the program.
 	lo, hi int
 
 	// Specs: one register and message per assert clause.
@@ -76,19 +57,48 @@ type ruleStream struct {
 
 	severity int32 // -1 when the rule has none
 	warmups  []warmup
+	// Monitors: the state machine consumes the guard registers.
+	machine *machine
+}
+
+// ruleState is one rule's decision state in a checker. The fields
+// decide reads on every step come first, so they share cache lines.
+type ruleState struct {
+	*ruleProg
+	v []column // the checker's register file
+
+	// Per decided output step: how many were masked by a warmup, and
+	// how many exercised the rule (see RuleResult.ActivationSteps).
+	suppressed, active int
+
+	// open violation state
+	open      bool
+	openStart int
+	openMsg   string
+	peak      float64
+
+	// Monitors: the machine's current state and the step it entered.
+	cur, entered int
+	// warm holds one state per warmup clause.
+	warm []warmState
 
 	// evs holds the events the current block decided, and evAt the
 	// block slot that decided each; the checker merges them across
-	// rules into step order.
+	// rules into step order, with next as this rule's cursor.
 	evs  []Event
 	evAt []int
+	next int
 }
 
-// warmup tracks one warmup clause.
+// warmup is one compiled warmup clause.
 type warmup struct {
 	window int
 	on     int32 // trigger register; -1 = from trace start
-	was    bool
+}
+
+// warmState is a warmup clause's state in a checker.
+type warmState struct {
+	was bool
 	// suppressedUntil is the exclusive end of the current suppression
 	// window, in steps.
 	suppressedUntil int
@@ -96,7 +106,7 @@ type warmup struct {
 
 // mask advances the warmup over block slots [lo, len(supp)), whose
 // output steps start at t0+lo, and sets supp at the slots it masks.
-func (w *warmup) mask(t0, lo int, v []column, supp []bool) {
+func (w *warmup) mask(s *warmState, t0, lo int, v []column, supp []bool) {
 	if w.on < 0 {
 		for j := lo; j < len(supp) && t0+j < w.window; j++ {
 			supp[j] = true
@@ -106,17 +116,18 @@ func (w *warmup) mask(t0, lo int, v []column, supp []bool) {
 	on := &v[w.on]
 	for j := lo; j < len(supp); j++ {
 		cur := truthy(on[j])
-		if cur && !w.was {
-			w.suppressedUntil = t0 + j + w.window
+		if cur && !s.was {
+			s.suppressedUntil = t0 + j + w.window
 		}
-		w.was = cur
-		if t0+j < w.suppressedUntil {
+		s.was = cur
+		if t0+j < s.suppressedUntil {
 			supp[j] = true
 		}
 	}
 }
 
-// machine runs a monitor state machine over its guard registers.
+// machine is a compiled monitor state machine over its guard
+// registers; its current state lives in the rule's ruleState.
 type machine struct {
 	m       *Monitor
 	guards  [][]int32 // per state, per transition; -1 for after
@@ -124,14 +135,10 @@ type machine struct {
 	// fallbackMsg precomputes the per-state default violation message,
 	// so a violating step never formats on the hot path.
 	fallbackMsg []string
-	period      time.Duration
-
-	initial int
-	cur     int
-	entered int
+	initial     int
 }
 
-func newMachine(c *compiler, m *Monitor, initial int, period time.Duration) (*machine, error) {
+func newMachine(c *compiler, m *Monitor, initial int) (*machine, error) {
 	states := make(map[string]int, len(m.States))
 	for i, st := range m.States {
 		states[st.Name] = i
@@ -141,9 +148,7 @@ func newMachine(c *compiler, m *Monitor, initial int, period time.Duration) (*ma
 		guards:      make([][]int32, len(m.States)),
 		targets:     make([][]int, len(m.States)),
 		fallbackMsg: make([]string, len(m.States)),
-		period:      period,
 		initial:     initial,
-		cur:         initial,
 	}
 	for i := range m.States {
 		st := &m.States[i]
@@ -169,19 +174,19 @@ func newMachine(c *compiler, m *Monitor, initial int, period time.Duration) (*ma
 	return ms, nil
 }
 
-// step executes the transition round for output step t, held in block
-// slot j of the register file v, and returns the violation mark, ""
-// when none.
-func (ms *machine) step(t int, v []column, j int) string {
+// step executes rs's transition round for output step t, held in block
+// slot j, and returns the violation mark, "" when none.
+func (ms *machine) step(rs *ruleState, t, j int) string {
 	mark := ""
-	for i := range ms.m.States[ms.cur].Transitions {
-		tr := &ms.m.States[ms.cur].Transitions[i]
+	cur := rs.cur
+	for i := range ms.m.States[cur].Transitions {
+		tr := &ms.m.States[cur].Transitions[i]
 		fire := false
 		switch tr.Kind {
 		case TransWhen:
-			fire = truthy(v[ms.guards[ms.cur][i]][j])
+			fire = truthy(rs.v[ms.guards[cur][i]][j])
 		case TransAfter:
-			dwell := time.Duration(t-ms.entered) * ms.period
+			dwell := time.Duration(t-rs.entered) * rs.period
 			fire = dwell >= tr.Deadline
 		}
 		if !fire {
@@ -190,19 +195,21 @@ func (ms *machine) step(t int, v []column, j int) string {
 		if tr.Violate {
 			mark = tr.Msg
 			if mark == "" {
-				mark = ms.fallbackMsg[ms.cur]
+				mark = ms.fallbackMsg[cur]
 			}
 		}
-		if next := ms.targets[ms.cur][i]; next >= 0 && next != ms.cur {
-			ms.cur = next
-			ms.entered = t + 1
+		if next := ms.targets[cur][i]; next >= 0 && next != cur {
+			rs.cur = next
+			rs.entered = t + 1
 		}
 		break
 	}
 	return mark
 }
 
-func newRuleStream(r *Rule, signals map[string]int, period time.Duration, opts EvalOptions) (*ruleStream, error) {
+// rule compiles r into the program: its instructions, appended as one
+// contiguous range, and its decision metadata.
+func (c *compiler) rule(r *Rule) error {
 	var lets []Let
 	var warmups []Warmup
 	var severity Expr
@@ -211,14 +218,20 @@ func newRuleStream(r *Rule, signals map[string]int, period time.Duration, opts E
 	} else {
 		lets, warmups, severity = r.monitor.Lets, r.monitor.Warmups, r.monitor.Severity
 	}
-	c := newCompiler(signals, r.consts, lets, opts.DeltaMode, period)
-	rs := &ruleStream{rule: r, period: period, prog: c.p, severity: -1}
+	c.consts = r.consts
+	c.lets = make(map[string]Expr, len(lets))
+	for _, l := range lets {
+		c.lets[l.Name] = l.X
+	}
+	clear(c.shared)
+	period := c.p.period
+	rs := &ruleProg{rule: r, period: period, severity: -1, lo: len(c.p.code)}
 
 	if r.Kind == KindSpec {
 		for i, a := range r.spec.Asserts {
 			reg, err := c.build(a)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			line, _ := a.Pos()
 			rs.asserts = append(rs.asserts, reg)
@@ -228,7 +241,7 @@ func newRuleStream(r *Rule, signals map[string]int, period time.Duration, opts E
 			if impl, ok := a.(*Binary); ok && impl.Op == tokArrow {
 				ante, err := c.build(impl.L)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				rs.antes = append(rs.antes, ante)
 			} else {
@@ -239,16 +252,16 @@ func newRuleStream(r *Rule, signals map[string]int, period time.Duration, opts E
 			rs.antes = nil // every step is active; no register to read
 		}
 	} else {
-		ms, err := newMachine(c, r.monitor, r.initial, period)
+		ms, err := newMachine(c, r.monitor, r.initial)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rs.machine = ms
 	}
 	if severity != nil {
 		reg, err := c.build(severity)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rs.severity = reg
 	}
@@ -260,7 +273,7 @@ func newRuleStream(r *Rule, signals map[string]int, period time.Duration, opts E
 		if w.On != nil {
 			reg, err := c.build(w.On)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ws.on = reg
 		}
@@ -281,12 +294,13 @@ func newRuleStream(r *Rule, signals map[string]int, period time.Duration, opts E
 	for _, reg := range roots {
 		*reg = c.align(*reg, rs.delay)
 	}
-	rs.prog.markFresh()
-	return rs, nil
+	rs.hi = len(c.p.code)
+	c.p.rules = append(c.p.rules, *rs)
+	return nil
 }
 
 // roots returns pointers to every register the rule decides from.
-func (rs *ruleStream) roots() []*int32 {
+func (rs *ruleProg) roots() []*int32 {
 	var out []*int32
 	for i := range rs.asserts {
 		out = append(out, &rs.asserts[i])
@@ -314,76 +328,12 @@ func (rs *ruleStream) roots() []*int32 {
 	return out
 }
 
-// link places the rule in the checker's register file and its code in
-// the checker's one program: off maps each of the rule's registers to
-// its column, and the rule's instructions and their state are appended
-// to prog, where the rule owns code[lo:hi]. Constant columns are filled
-// once here; no instruction writes them.
-func (rs *ruleStream) link(off []int32, prog *program) {
-	p, v := rs.prog, prog.v
-	for r, x := range p.init {
-		if x != 0 {
-			col := &v[off[r]]
-			for j := range col {
-				col[j] = x
-			}
-		}
-	}
-	rs.lo = len(prog.code)
-	for _, in := range p.code {
-		in.dst, in.a, in.b, in.c = off[in.dst], off[in.a], off[in.b], off[in.c]
-		in.out, in.x, in.y, in.z = &v[in.dst], &v[in.a], &v[in.b], &v[in.c]
-		switch in.op {
-		case opRise, opFall:
-			in.state += int32(len(prog.edges))
-		case opPrev, opDelta, opRate, opChanged:
-			in.state += int32(len(prog.hists))
-		case opAlways, opEventually, opOnce, opHistorically:
-			in.state += int32(len(prog.wins))
-		case opDelay:
-			in.state += int32(len(prog.lines))
-		}
-		prog.code = append(prog.code, in)
-	}
-	rs.hi = len(prog.code)
-	prog.edges = append(prog.edges, p.edges...)
-	prog.hists = append(prog.hists, p.hists...)
-	prog.wins = append(prog.wins, p.wins...)
-	prog.lines = append(prog.lines, p.lines...)
-	for _, r := range rs.roots() {
-		*r = off[*r]
-	}
-	rs.prog, rs.v = prog, v
-	rs.assertCols = make([]*column, len(rs.asserts))
-	for i, r := range rs.asserts {
-		rs.assertCols[i] = &v[r]
-	}
-	rs.anteCols = make([]*column, len(rs.antes))
-	for i, r := range rs.antes {
-		rs.anteCols[i] = &v[r]
-	}
-}
-
-// finish drains the program after n input steps, deciding the output
-// steps still in flight, and closes any open violation at n. Events go
-// to rs.evs, in step order.
-func (rs *ruleStream) finish(n int, scratch *[blockSteps]bool) {
-	for k0 := n; k0 < n+rs.delay; k0 += blockSteps {
-		m := min(blockSteps, n+rs.delay-k0)
-		rs.prog.exec(rs.lo, rs.hi, k0, m, n)
-		rs.decide(k0, m, scratch)
-	}
-	if rs.open {
-		rs.emit(blockSteps, rs.close(n))
-	}
-}
-
 // decide decides the output steps completed by the block of m slots
 // starting at input step k0 (none before the pipeline fills): it reads
 // the aligned root columns, counts each step, and maintains the
 // open-violation state, recording events in rs.evs. scratch holds the
 // block's warmup masks while they are needed.
-func (rs *ruleStream) decide(k0, m int, scratch *[blockSteps]bool) {
+func (rs *ruleState) decide(k0, m int, scratch *[blockSteps]bool) {
 	lo := min(max(rs.delay-k0, 0), m)
 	if lo == m {
 		return
@@ -398,9 +348,9 @@ func (rs *ruleStream) decide(k0, m int, scratch *[blockSteps]bool) {
 		for j := lo; j < m; j++ {
 			// A monitor step is active when the machine is outside its
 			// initial state before or after the step's transition.
-			active := ms.cur != ms.initial
-			mark := ms.step(t0+j, v, j)
-			if active || ms.cur != ms.initial {
+			active := rs.cur != ms.initial
+			mark := ms.step(rs, t0+j, j)
+			if active || rs.cur != ms.initial {
 				rs.active++
 			}
 			rs.record(t0+j, j, mark, supp != nil && supp[j])
@@ -413,14 +363,14 @@ func (rs *ruleStream) decide(k0, m int, scratch *[blockSteps]bool) {
 		rs.active += m - lo
 	}
 	for j := lo; j < m; j++ {
-		for _, a := range rs.anteCols {
-			if truthy(a[j]) {
+		for _, a := range rs.antes {
+			if truthy(v[a][j]) {
 				rs.active++
 				break
 			}
 		}
-		for i, a := range rs.assertCols {
-			if !truthy(a[j]) {
+		for i, a := range rs.asserts {
+			if !truthy(v[a][j]) {
 				rs.record(t0+j, j, rs.msgs[i], supp != nil && supp[j])
 				goto next
 			}
@@ -436,7 +386,7 @@ func (rs *ruleStream) decide(k0, m int, scratch *[blockSteps]bool) {
 // start at t0+lo, and counts the masked steps. It returns the slots'
 // masks, or nil when no warmup can mask any of them: every warmup is
 // a start-of-trace one that has expired.
-func (rs *ruleStream) mask(t0, lo, m int, scratch *[blockSteps]bool) []bool {
+func (rs *ruleState) mask(t0, lo, m int, scratch *[blockSteps]bool) []bool {
 	var supp []bool
 	for i := range rs.warmups {
 		w := &rs.warmups[i]
@@ -447,7 +397,7 @@ func (rs *ruleStream) mask(t0, lo, m int, scratch *[blockSteps]bool) []bool {
 			supp = scratch[:m]
 			clear(supp[lo:])
 		}
-		w.mask(t0, lo, rs.v, supp)
+		w.mask(&rs.warm[i], t0, lo, rs.v, supp)
 	}
 	if supp == nil {
 		return nil
@@ -462,7 +412,7 @@ func (rs *ruleStream) mask(t0, lo, m int, scratch *[blockSteps]bool) []bool {
 
 // record applies output step t's verdict, decided at block slot j: mark
 // is the violated clause's message, "" when none.
-func (rs *ruleStream) record(t, j int, mark string, suppressed bool) {
+func (rs *ruleState) record(t, j int, mark string, suppressed bool) {
 	if mark == "" || suppressed {
 		if rs.open {
 			rs.emit(j, rs.close(t))
@@ -492,13 +442,13 @@ func (rs *ruleStream) record(t, j int, mark string, suppressed bool) {
 }
 
 // emit records an event decided at block slot j.
-func (rs *ruleStream) emit(j int, e Event) {
+func (rs *ruleState) emit(j int, e Event) {
 	rs.evs = append(rs.evs, e)
 	rs.evAt = append(rs.evAt, j)
 }
 
 // close ends the open violation exclusively at step end.
-func (rs *ruleStream) close(end int) Event {
+func (rs *ruleState) close(end int) Event {
 	rs.open = false
 	return Event{
 		Rule: rs.rule.Name,

@@ -125,6 +125,7 @@ func TestRuleHorizon(t *testing.T) {
 		{"future inside past", `spec R { assert once[0:1s](eventually[0:30ms](x > 0)) }`, 30 * time.Millisecond},
 		{"via let", `spec R { let e = eventually[0:200ms](x > 0) assert e -> x > 0 }`, 200 * time.Millisecond},
 		{"severity counts", `spec R { severity cond(eventually[0:60ms](x > 0), 1, 0) assert x > 0 }`, 60 * time.Millisecond},
+		{"warmup trigger counts", `spec R { warmup 1s on eventually[0:200ms](x > 5) assert x > 0 }`, 200 * time.Millisecond},
 		{"monitor guard", `monitor M {
 			initial state A { when always[0:250ms](x > 0) => violate }
 		}`, 250 * time.Millisecond},

@@ -121,10 +121,7 @@ func FromCANLog(log *can.Log, db *sigdb.DB) (*Trace, error) {
 	for i, name := range names {
 		series[i] = tr.Ensure(name)
 	}
-	plan, err := db.CompilePlan(names)
-	if err != nil {
-		return nil, err
-	}
+	plan := db.CanonicalPlan()
 	// Count each signal's updates first so every series is allocated
 	// once instead of regrowing as it fills.
 	counts := make([]int, len(names))
