@@ -39,8 +39,15 @@ type Log struct {
 // order; out-of-order appends are rejected so a log is always a valid
 // trace source.
 func (l *Log) Append(f Frame) error {
-	if n := len(l.frames); n > 0 && f.Time < l.frames[n-1].Time {
+	n := len(l.frames)
+	if n > 0 && f.Time < l.frames[n-1].Time {
 		return fmt.Errorf("can: out-of-order append at %v after %v", f.Time, l.frames[n-1].Time)
+	}
+	if n == cap(l.frames) {
+		// Double a full log: append alone grows a large slice by only
+		// about 1.25x, so a growing capture would be copied some three
+		// times as often.
+		l.frames = slices.Grow(l.frames, max(n, 1))
 	}
 	l.frames = append(l.frames, f)
 	return nil

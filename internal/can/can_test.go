@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -162,6 +163,50 @@ func TestLogGrowKeepsFramesAndReserves(t *testing.T) {
 		t.Error("appends within the reservation reallocated the log")
 	}
 	l.Grow(-1) // no-op
+}
+
+// logAppendFrames is one 60 s capture of the vehicle bus.
+const logAppendFrames = 37500
+
+// TestLogAppendDoublesWhenFull pins the growth of an unreserved log:
+// appending a capture's frames reallocates it only as often as doubling
+// from one frame would, and never loses or reorders a frame.
+func TestLogAppendDoublesWhenFull(t *testing.T) {
+	var l Log
+	reallocs, last := 0, -1
+	for i := 0; i < logAppendFrames; i++ {
+		if err := l.Append(Frame{Time: time.Duration(i), ID: uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(l.frames); c != last {
+			reallocs, last = reallocs+1, c
+		}
+	}
+	// Doubling from one frame reaches 37 500 frames in at most 17
+	// allocations (2^16 >= 37 500); append's own 1.25x growth past 256
+	// frames takes 24.
+	if want := bits.Len(logAppendFrames) + 1; reallocs > want {
+		t.Errorf("appending %d frames reallocated the log %d times, want at most %d", logAppendFrames, reallocs, want)
+	}
+	for i, f := range l.Frames() {
+		if f.ID != uint32(i) {
+			t.Fatalf("frame %d has ID %d", i, f.ID)
+		}
+	}
+}
+
+// BenchmarkLogAppend appends one capture's frames to an unreserved
+// log, as can.Bus.Step records a bus with no reservation.
+func BenchmarkLogAppend(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var l Log
+		for k := 0; k < logAppendFrames; k++ {
+			if err := l.Append(Frame{Time: time.Duration(k)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestTxScheduleMaxFramesBounds checks that MaxFrames bounds what a

@@ -127,6 +127,9 @@ func FuzzStreamSemantics(f *testing.F) {
 	for seed := int64(0); seed < 10; seed++ {
 		f.Add(seed, "", partitions[seed%int64(len(partitions))])
 	}
+	for i, src := range mixedKindRules {
+		f.Add(int64(i), src, partitions[i%len(partitions)])
+	}
 	f.Fuzz(func(t *testing.T, seed int64, ruleSrc string, cuts []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		var rs *RuleSet
@@ -154,6 +157,18 @@ func FuzzStreamSemantics(f *testing.F) {
 			}
 		}
 	})
+}
+
+// mixedKindRules read truth values as numbers and numbers as truth
+// values, in every position a rule has: FuzzStreamSemantics seeds its
+// corpus with them.
+var mixedKindRules = []string{
+	`spec K1 { severity delta(a > x) assert delta(a > x) <= 0 }`,
+	`spec K2 { assert cond(x, a, x > 1) + 1 > 1.5 }`,
+	`spec K3 { assert x && (a == (x < 0.5)) }`,
+	`spec K4 { warmup 20ms on rise(x) assert rise(x) -> a }`,
+	`spec K5 { severity a || x > 0.5 assert a -> eventually[0:30ms](x < 0.5) }`,
+	`monitor K6 { initial state A { when x - a => violate "v" then B } state B { when !x => A } }`,
 }
 
 // checkBlocks runs src through the checker cut into blocks by cuts and

@@ -2,9 +2,13 @@ package speclang
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"cpsmon/internal/sigdb"
 )
 
 // TestStreamSharedStatefulEquivalence covers stateful subexpressions the
@@ -45,6 +49,9 @@ func TestStreamUnequalDelayNestingEquivalence(t *testing.T) {
 		`spec U2 { assert cond(always[10ms:40ms](a), x, eventually[0:20ms](x > 0.2)) > min(x, cond(eventually[0:90ms](!a), 1, 0)) || a }`,
 		`spec U3 { severity delta(x) assert eventually[0:20ms](x < 0.1 || always[0:40ms](a && eventually[0:30ms](x > 0.9))) || rise(a) }`,
 		`spec U4 { warmup 30ms on eventually[0:50ms](rise(a)) severity x assert once[0:30ms](eventually[0:40ms](a)) -> x < 1 }`,
+		// Update-aware differences of a multi-rate signal delayed beside
+		// a window over it: the delay line must pass its freshness on.
+		`spec U5 { severity prev(x * eventually[0:30ms](x > 0.2)) assert delta(x - cond(eventually[0:20ms](x < 0.4), 1, 0)) <= 0.2 }`,
 	}
 	for _, mode := range []DeltaMode{DeltaNaive, DeltaUpdateAware} {
 		for n := 1; n <= 30; n++ {
@@ -244,6 +251,44 @@ spec S { assert c + x < 2.5 || updated(a) }
 		src.addWithUpd("b", b.vals["x"], b.upd["x"]).addWithUpd("c", c.vals["x"], c.upd["x"])
 		for _, mode := range []DeltaMode{DeltaNaive, DeltaUpdateAware} {
 			requireEquivalent(t, rules, src, EvalOptions{DeltaMode: mode}, "x", "a", "b", "c")
+		}
+	}
+}
+
+// TestShippedProgramsDoNotGrow pins the instruction counts of the
+// paper's strict and relaxed rule sets, compiled as the monitor compiles
+// them: every truth value they read is an input's truth word or an
+// instruction's result, so they compile no conversion, and a one-step
+// block dispatches no more instructions than before registers had
+// kinds.
+func TestShippedProgramsDoNotGrow(t *testing.T) {
+	for _, c := range []struct {
+		file string
+		want int
+	}{{"strict.spec", 41}, {"relaxed.spec", 49}} {
+		src, err := os.ReadFile(filepath.Join("..", "..", "specs", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := Compile(f, sigdb.Vehicle().SignalNames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := rs.NewProgram(sigdb.FastPeriod, EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.code) != c.want {
+			t.Errorf("%s compiles to %d instructions, want %d", c.file, len(p.code), c.want)
+		}
+		for _, in := range p.code {
+			if in.op == opTruthy || in.op == opNum {
+				t.Errorf("%s compiles a conversion (opcode %d)", c.file, in.op)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -277,9 +278,14 @@ func TestStreamMixedDelayBinaryEquivalence(t *testing.T) {
 
 // ---------- randomized equivalence ----------
 
+// oddTruths are the values a boolean signal may carry beyond 0 and 1,
+// each a pitfall of reading a number as truth: -0 is false, ±Inf true,
+// NaN false and incomparable, 2 and -1 true but unequal to 1.
+var oddTruths = []float64{2, -1, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+
 // randomSource builds an n-step trace of a multi-rate float x (updated
-// on ~40% of steps, occasionally NaN) and a boolean a updated every
-// step.
+// on ~40% of steps, occasionally NaN) and a mostly boolean a updated
+// every step, which one step in ten carries one of oddTruths instead.
 func randomSource(rng *rand.Rand, n int) *memSource {
 	xv, xu := make([]float64, n), make([]bool, n)
 	cur := rng.Float64()
@@ -295,7 +301,10 @@ func randomSource(rng *rand.Rand, n int) *memSource {
 	}
 	av, au := make([]float64, n), make([]bool, n)
 	for i := 0; i < n; i++ {
-		if rng.Float64() < 0.6 {
+		switch r := rng.Float64(); {
+		case r < 0.1:
+			av[i] = oddTruths[rng.Intn(len(oddTruths))]
+		case r < 0.6:
 			av[i] = 1
 		}
 		au[i] = true
@@ -448,6 +457,78 @@ spec C { assert always[0:20ms](x < 0.5) }
 		add(evs)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: events %v, want %v", mode, got, want)
+		}
+	}
+}
+
+// TestStreamOperandKindsEquivalence runs every opcode over operands of
+// every kind against the reference: input signals, read as numbers or
+// as truth (x, a), a constant, a number register (x - a) and truth
+// registers (x > 0.5, !a). Each expression is read in every position a
+// rule has: as an assert and a severity, and, in a rule whose temporal
+// consequent delays the rest, as an antecedent, a severity and a warmup
+// trigger, each through a delay line of its own kind; and as monitor
+// guards. Each rule file also runs in one-step blocks only, and in a
+// mix of one-step and partial blocks.
+func TestStreamOperandKindsEquivalence(t *testing.T) {
+	operands := []string{"x", "a", "0.5", "(x - a)", "(x > 0.5)", "!a"}
+	ops := []string{
+		"!%s", "-%s", "valid(%s)", "abs(%s)", "rise(%s)", "fall(%s)",
+		"prev(%s)", "delta(%s)", "rate(%s)", "changed(%s)",
+		"always[0:20ms](%s)", "eventually[10ms:30ms](%s)", "once[0:20ms](%s)", "historically[10ms:30ms](%s)",
+		"%s + %s", "%s - %s", "%s * %s", "%s / %s", "%s && %s", "%s || %s", "%s -> %s",
+		"%s < %s", "%s <= %s", "%s > %s", "%s >= %s", "%s == %s", "%s != %s",
+		"min(%s, %s)", "max(%s, %s)", "cond(%s, %s, %s)",
+	}
+	var exprs []string
+	for _, op := range ops {
+		switch strings.Count(op, "%s") {
+		case 1:
+			for _, x := range operands {
+				exprs = append(exprs, fmt.Sprintf(op, x))
+			}
+		case 2:
+			for _, x := range operands {
+				for _, y := range operands {
+					exprs = append(exprs, fmt.Sprintf(op, x, y))
+				}
+			}
+		default:
+			for _, x := range operands {
+				for _, y := range operands {
+					for _, z := range operands[:4] {
+						exprs = append(exprs, fmt.Sprintf(op, x, y, z))
+					}
+				}
+			}
+		}
+	}
+	exprs = append(exprs, "updated(x)", "updated(a)")
+	srcs := make([]*memSource, 3)
+	for i := range srcs {
+		srcs[i] = randomSource(rand.New(rand.NewSource(int64(i))), 40+30*i)
+	}
+	for _, e := range exprs {
+		rules := fmt.Sprintf(`
+spec S { severity %[1]s assert %[1]s }
+spec D { warmup 20ms on %[1]s severity %[1]s assert %[1]s -> eventually[0:20ms](a) }
+monitor M {
+	initial state A { when %[1]s => violate "v" then B }
+	state B { when !(%[1]s) => A after 30ms => violate "w" }
+}`, e)
+		rs := compileOne(t, rules, "x", "a")
+		for _, src := range srcs {
+			for _, mode := range []DeltaMode{DeltaNaive, DeltaUpdateAware} {
+				opts := EvalOptions{DeltaMode: mode}
+				if err := checkEquivalent(rs, src, opts); err != nil {
+					t.Fatalf("%s: %v", e, err)
+				}
+				for _, cuts := range [][]byte{{1}, {0, 9, 1, 37}} {
+					if err := checkBlocks(rs, src, opts, cuts); err != nil {
+						t.Fatalf("%s: %v", e, err)
+					}
+				}
+			}
 		}
 	}
 }
